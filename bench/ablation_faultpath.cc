@@ -39,25 +39,6 @@
 #include "src/sim/corten_vm.h"
 #include "src/sim/mmu.h"
 #include "src/tlb/shootdown.h"
-#include "src/verif/wf_checker.h"
-
-// The p50-speedup gate compares wall-clock timings, which the sanitizers
-// distort beyond use: tsan intercepts every atomic and memory access, so the
-// lock path and the magazine path cost nearly the same (~1.1x measured, vs
-// ~1.8-2.5x native). Under a sanitizer the timing gate becomes informational;
-// the functional gates (zero buddy-lock acquisitions, magazine/prezero hits,
-// fault-around counts, frame-leak check) still fail the run.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define FAULTPATH_TIMING_GATES 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define FAULTPATH_TIMING_GATES 0
-#else
-#define FAULTPATH_TIMING_GATES 1
-#endif
-#else
-#define FAULTPATH_TIMING_GATES 1
-#endif
 
 namespace cortenmm {
 namespace {
@@ -184,6 +165,27 @@ PhaseResult RunMode(TelemetrySink& sink, const char* label,
   return result;
 }
 
+// Fault p50 speedup of magazines on vs off; 0 when |on| recorded nothing.
+double Speedup(const PhaseResult& off, const PhaseResult& on) {
+  return on.p50_ns == 0
+             ? 0.0
+             : static_cast<double>(off.p50_ns) / static_cast<double>(on.p50_ns);
+}
+
+// The wall-clock gate needs the fault histograms and a sanitizer-free build.
+constexpr bool kSpeedupGated = CORTENMM_TELEMETRY && kTimingGates;
+
+// The retried gates, shared by the retry loop and the final verdict: zero
+// buddy-lock acquisitions in the magazine steady state, and (when gated)
+// the >=1.5x fault p50 speedup.
+bool LocksClean(const PhaseResult& on) { return on.buddy_locks == 0; }
+bool FastEnough(const PhaseResult& off, const PhaseResult& on) {
+  return Speedup(off, on) >= 1.5;
+}
+bool PairPasses(const PhaseResult& off, const PhaseResult& on) {
+  return LocksClean(on) && (!kSpeedupGated || FastEnough(off, on));
+}
+
 }  // namespace
 }  // namespace cortenmm
 
@@ -208,8 +210,9 @@ int main(int argc, char** argv) {
 
   // The timing gates compare two live measurements on whatever machine CI
   // gives us; a single scheduler hiccup in either phase can flip the verdict.
-  // Measure the off/on pair up to kAttempts times and gate on the best pair —
-  // retries absorb noise, they cannot manufacture a speedup that is not there.
+  // Measure the off/on pair up to kAttempts times and gate on the first pair
+  // that passes (else the last) — retries absorb noise, they cannot
+  // manufacture a speedup that is not there.
   constexpr int kAttempts = 3;
   PhaseResult off;
   PhaseResult on;
@@ -219,15 +222,7 @@ int main(int argc, char** argv) {
                   /*magazines=*/false, /*scrub=*/false);
     on = RunMode(sink, ("mag_on" + suffix).c_str(), options,
                  /*magazines=*/true, /*scrub=*/true);
-    bool locks_clean = on.buddy_locks == 0;
-#if CORTENMM_TELEMETRY && FAULTPATH_TIMING_GATES
-    bool fast_enough =
-        on.p50_ns != 0 && static_cast<double>(off.p50_ns) >=
-                              1.5 * static_cast<double>(on.p50_ns);
-#else
-    bool fast_enough = true;
-#endif
-    if (locks_clean && fast_enough) {
+    if (PairPasses(off, on)) {
       break;
     }
     if (attempt + 1 < kAttempts) {
@@ -266,70 +261,39 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.around_mapped));
   }
 
-  bool gate_ok = true;
-
-  if (on.buddy_locks != 0) {
-    std::printf("  FAIL: %llu global buddy-lock acquisitions in the magazine "
-                "steady state (gate: 0)\n",
-                static_cast<unsigned long long>(on.buddy_locks));
-    gate_ok = false;
+  sink.Gate("mag_on_buddy_lock_acquisitions",
+            static_cast<double>(on.buddy_locks), 0, LocksClean(on),
+            "%llu global buddy-lock acquisitions in the magazine steady state "
+            "(gate: 0)",
+            static_cast<unsigned long long>(on.buddy_locks));
+  if (kSpeedupGated) {
+    std::printf("\nfault p50 speedup (mag on vs off): %.2fx (gate: >=1.5x)\n",
+                Speedup(off, on));
+    sink.Gate("fault_p50_speedup", Speedup(off, on), 1.5, FastEnough(off, on),
+              "p50 speedup %.2fx is below the 1.5x gate", Speedup(off, on));
+  } else if (CORTENMM_TELEMETRY) {
+    std::printf("\nfault p50 speedup (mag on vs off): %.2fx — informational "
+                "only (timing gate disabled under sanitizers)\n",
+                Speedup(off, on));
+  } else {
+    std::printf("\nfault p50 gate skipped: telemetry compiled out\n");
   }
-#if CORTENMM_TELEMETRY && FAULTPATH_TIMING_GATES
-  double speedup = on.p50_ns == 0
-                       ? 0.0
-                       : static_cast<double>(off.p50_ns) / static_cast<double>(on.p50_ns);
-  std::printf("\nfault p50 speedup (mag on vs off): %.2fx (gate: >=1.5x)\n", speedup);
-  if (speedup < 1.5) {
-    std::printf("  FAIL: p50 speedup %.2fx is below the 1.5x gate\n", speedup);
-    gate_ok = false;
-  }
-#elif CORTENMM_TELEMETRY
-  double speedup = on.p50_ns == 0
-                       ? 0.0
-                       : static_cast<double>(off.p50_ns) / static_cast<double>(on.p50_ns);
-  std::printf("\nfault p50 speedup (mag on vs off): %.2fx — informational only "
-              "(timing gate disabled under sanitizers)\n", speedup);
-#else
-  std::printf("\nfault p50 gate skipped: telemetry compiled out\n");
-#endif
-  if (on.mag_hits == 0) {
-    std::printf("  FAIL: zero magazine hits — the fast path never ran\n");
-    gate_ok = false;
-  }
-  if (on.prezero_hits == 0) {
-    std::printf("  FAIL: zero prezero hits — every fault zeroed inline\n");
-    gate_ok = false;
-  }
-  if (around.faults * 4 > on.faults) {
-    std::printf("  FAIL: fault-around left %llu faults, not >=4x fewer than %llu\n",
-                static_cast<unsigned long long>(around.faults),
-                static_cast<unsigned long long>(on.faults));
-    gate_ok = false;
-  }
-  if (around.around_mapped == 0) {
-    std::printf("  FAIL: fault-around mapped zero neighbour pages\n");
-    gate_ok = false;
-  }
+  sink.Gate("mag_hits", static_cast<double>(on.mag_hits), 0, on.mag_hits > 0,
+            "zero magazine hits — the fast path never ran");
+  sink.Gate("prezero_hits", static_cast<double>(on.prezero_hits), 0,
+            on.prezero_hits > 0, "zero prezero hits — every fault zeroed inline");
+  sink.Gate("fault_around_faults", static_cast<double>(around.faults),
+            static_cast<double>(on.faults) / 4, around.faults * 4 <= on.faults,
+            "fault-around left %llu faults, not >=4x fewer than %llu",
+            static_cast<unsigned long long>(around.faults),
+            static_cast<unsigned long long>(on.faults));
+  sink.Gate("fault_around_mapped", static_cast<double>(around.around_mapped), 0,
+            around.around_mapped > 0,
+            "fault-around mapped zero neighbour pages");
 
   // Drain + shutdown leak gate: nothing may stay stranded in a magazine or
   // depot shelf once the caches are flushed.
   BuddyAllocator::Instance().DrainMagazines();
-  LeakReport leaks = CheckFrameLeaks(baseline_free);
-  if (!leaks.ok) {
-    std::printf("  FAIL: leaked %lld frames after magazine drain (baseline %llu, "
-                "now %llu, stranded cached %llu, stranded anon %llu)\n",
-                static_cast<long long>(leaks.leaked),
-                static_cast<unsigned long long>(leaks.baseline_free),
-                static_cast<unsigned long long>(leaks.current_free),
-                static_cast<unsigned long long>(leaks.stranded_cached),
-                static_cast<unsigned long long>(leaks.stranded_anon));
-    gate_ok = false;
-  } else {
-    std::printf("frame leaks after drain + scrub shutdown: 0\n");
-  }
-
-  PrintTraceDropRate();
-  std::string json_path = sink.Write();
-  std::printf("\ntelemetry: %s\n", json_path.c_str());
-  return gate_ok ? 0 : 1;
+  GateFrameLeaks(sink, baseline_free);
+  return sink.Finish();
 }

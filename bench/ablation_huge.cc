@@ -131,29 +131,21 @@ int main(int argc, char** argv) {
                 r.tlb_miss_rate * 100.0);
   }
 
-  bool gate_ok = true;
   double fault_reduction =
       on.faults == 0 ? 0.0
                      : static_cast<double>(off.faults) / static_cast<double>(on.faults);
   std::printf("\nfault reduction: %.1fx (gate: >=8x)\n", fault_reduction);
-  if (fault_reduction < 8.0) {
-    std::printf("  FAIL: fault reduction %.1fx is below the 8x gate\n",
-                fault_reduction);
-    gate_ok = false;
-  }
-  if (on.ranges >= off.ranges) {
-    std::printf("  FAIL: huge=on gathered %llu ranges, not fewer than %llu\n",
-                static_cast<unsigned long long>(on.ranges),
-                static_cast<unsigned long long>(off.ranges));
-    gate_ok = false;
-  }
+  sink.Gate("fault_reduction", fault_reduction, 8.0, fault_reduction >= 8.0,
+            "fault reduction %.1fx is below the 8x gate", fault_reduction);
+  sink.Gate("gathered_ranges", static_cast<double>(on.ranges),
+            static_cast<double>(off.ranges), on.ranges < off.ranges,
+            "huge=on gathered %llu ranges, not fewer than %llu",
+            static_cast<unsigned long long>(on.ranges),
+            static_cast<unsigned long long>(off.ranges));
   if (on.tlb_miss_rate > off.tlb_miss_rate) {
     std::printf("  note: huge=on TLB miss rate %.2f%% above 4k %.2f%%\n",
                 on.tlb_miss_rate * 100.0, off.tlb_miss_rate * 100.0);
   }
 
-  PrintTraceDropRate();
-  std::string json_path = sink.Write();
-  std::printf("\ntelemetry: %s\n", json_path.c_str());
-  return gate_ok ? 0 : 1;
+  return sink.Finish();
 }

@@ -5,22 +5,27 @@
 //     cycle mmap → write-touch → munmap. Every frame (data and PT pages)
 //     routes through the per-node arenas; the gate is a >=90% local-
 //     allocation ratio (numa_local / (numa_local + numa_remote)).
-//   * cna vs mcs — the same cross-socket contention (2 threads per node,
+//   * cna vs flat — the same cross-socket contention (2 threads per node,
 //     one shared lock, a critical section that pays the interconnect cost
-//     whenever the lock migrates between nodes) run against the flat MCS
-//     lock and the CNA lock. Gates: CNA acquisition p50 <= MCS p50 (timing,
-//     disabled under sanitizers) and nonzero cna_batched_handoffs /
-//     cna_secondary_enqueues (the batching actually engaged).
+//     whenever the lock migrates between nodes) run twice against CnaLock:
+//     once with every worker bound to its own node, and once as the flat
+//     comparator, with every worker bound to a node-0 CPU but still charged
+//     by its striped node. Single-node CNA never detaches a waiter, so the
+//     flat run hands off in plain MCS FIFO order. Gates: CNA acquisition p50
+//     <= flat p50 (timing, disabled under sanitizers), fewer cross-node
+//     handoffs, nonzero cna_batched_handoffs (the batching engaged), and
+//     zero secondary enqueues in the flat run (its handoff really is FIFO).
 //   * spill + home return — node 0's arena is drained dry from a node-0
 //     thread; further allocations must spill to the nearest remote arena
 //     (never fail), and freeing everything must restore every per-node free
 //     count exactly, with zero misplaced frames and zero leaks.
 //
 // With CORTENMM_NODES=1 the topology is degenerate: the locality ratio is
-// trivially 100% and the CNA/spill gates are skipped (there is no remote
-// node to batch against or spill to) — the binary still exercises both lock
-// paths and the leak check. Nonzero exit on any gate failure;
-// BENCH_numa.json carries the numbers.
+// trivially 100% and the CNA (timing included) and spill gates are skipped
+// (there is no remote node to batch against or spill to) — the binary still
+// exercises the lock, its mutual exclusion and FIFO gates, and the leak
+// check. Nonzero exit on any gate failure; BENCH_numa.json
+// carries the numbers and the gate verdicts.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -40,25 +45,7 @@
 #include "src/sim/corten_vm.h"
 #include "src/sim/mmu.h"
 #include "src/sync/cna_lock.h"
-#include "src/sync/mcs_lock.h"
 #include "src/tlb/shootdown.h"
-#include "src/verif/wf_checker.h"
-
-// Timing gates compare two live wall-clock measurements; the sanitizers
-// distort those beyond use (same rationale as ablation_faultpath.cc). The
-// functional gates (locality ratio, batching counters, spill correctness,
-// leak check) still fail the run.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define NUMA_TIMING_GATES 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define NUMA_TIMING_GATES 0
-#else
-#define NUMA_TIMING_GATES 1
-#endif
-#else
-#define NUMA_TIMING_GATES 1
-#endif
 
 namespace cortenmm {
 namespace {
@@ -84,12 +71,16 @@ uint64_t Percentile(std::vector<uint64_t>& samples, double p) {
   return samples[idx];
 }
 
-// Binds the calling worker to the |slot|-th CPU of its assigned node.
-void BindWorker(int worker, int* out_node) {
+// Binds the calling worker to a CPU of its logical node (kThreadsPerNode
+// workers per node, striped), or, when |flat|, to a distinct node-0 CPU.
+// Returns the logical node.
+int BindWorker(int worker, bool flat) {
   const NodeTopology& topo = NodeTopology::Instance();
   int node = worker / kThreadsPerNode % topo.nodes();
-  BindThisThreadToCpu(topo.FirstCpuOfNode(node) + worker % kThreadsPerNode);
-  *out_node = node;
+  BindThisThreadToCpu(flat ? topo.FirstCpuOfNode(0) + worker
+                           : topo.FirstCpuOfNode(node) +
+                                 worker % kThreadsPerNode);
+  return node;
 }
 
 // --- Phase A: allocation locality -------------------------------------------
@@ -115,8 +106,7 @@ LocalityResult RunLocality(TelemetrySink& sink) {
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&vms, t] {
-      int node;
-      BindWorker(t, &node);
+      BindWorker(t, /*flat=*/false);
       CortenVm& mm = *vms[t];
       mm.NoteCpuActive(CurrentCpu());
       for (int c = 0; c < kLocalityCycles; ++c) {
@@ -152,14 +142,14 @@ LocalityResult RunLocality(TelemetrySink& sink) {
   return result;
 }
 
-// --- Phase B: CNA vs flat MCS under cross-socket contention ------------------
+// --- Phase B: CNA vs flat (single-node) CNA under cross-socket contention ---
 
-// Shared contention state. |prev_node| models the physical home of the lock's
-// protected cache lines: a holder whose node differs from the previous
-// holder's pays the interconnect transfer (the same cost matrix the software
-// MMU charges on remote data, scaled from matrix units to wall-clock
-// nanoseconds so the queue actually forms). Written only inside the critical
-// section.
+// Shared contention state, written only inside the critical section.
+// |prev_node| models the physical home of the lock's protected cache lines: a
+// holder whose node differs from the previous holder's pays the interconnect
+// transfer (the same cost matrix the software MMU charges on remote data,
+// scaled from matrix units to wall-clock nanoseconds so the queue actually
+// forms).
 struct ContendedCounter {
   int prev_node = -1;
   int64_t value = 0;
@@ -167,12 +157,18 @@ struct ContendedCounter {
   // number CNA exists to shrink, and (unlike wall-clock percentiles) immune
   // to host scheduling: it gates on any machine, single-core CI included.
   int64_t migrations = 0;
+  // Acquisition waits: all, and those whose handoff stayed on the previous
+  // holder's node (the "same-node" set the p50 gate is over — a CNA batch
+  // keeps these cheap, the flat FIFO makes them wait behind whatever
+  // migrations its arrival order happened to schedule).
+  std::vector<uint64_t> waits;
+  std::vector<uint64_t> same_node_waits;
 };
 
 // Base critical-section work and the per-cost-unit migration charge. Long
 // enough that all workers queue up behind the holder (the regime CNA is for);
 // the migration charge dwarfs the base so handoff ORDER dominates throughput:
-// flat MCS pays the transfer on nearly every FIFO handoff, CNA amortizes it
+// the flat FIFO pays the transfer on nearly every handoff, CNA amortizes it
 // across a same-node batch.
 constexpr uint64_t kCsBaseNs = 200;
 constexpr uint64_t kNsPerCostUnit = 40;
@@ -184,11 +180,8 @@ void SpinForNs(uint64_t ns) {
   }
 }
 
-// Runs the critical section; returns true when the handoff stayed on the
-// previous holder's node (the "same-node" acquisitions the p50 gate is over —
-// a CNA batch keeps these cheap, FIFO MCS makes them wait behind whatever
-// migrations its arrival order happened to schedule).
-bool CriticalSection(ContendedCounter& state, int my_node) {
+// Runs the critical section of a holder on |my_node| that waited |wait_ns|.
+void CriticalSection(ContendedCounter& state, int my_node, uint64_t wait_ns) {
   bool same_node = state.prev_node == my_node;
   if (state.prev_node >= 0 && !same_node) {
     const NodeTopology& topo = NodeTopology::Instance();
@@ -199,47 +192,10 @@ bool CriticalSection(ContendedCounter& state, int my_node) {
   SpinForNs(kCsBaseNs);
   state.prev_node = my_node;
   state.value = state.value + 1;  // Non-atomic: torn only if exclusion broke.
-  return same_node;
-}
-
-struct WorkerSamples {
-  std::vector<uint64_t> all;
-  std::vector<uint64_t> same_node;
-};
-
-// Runs |threads| pinned workers hammering one lock. Waits for every worker at
-// a start barrier first — without it the short run is over before the last
-// thread spawns and the "contention" measures an empty queue.
-template <typename LockFn>
-void RunContention(int threads, ContendedCounter* state_out,
-                   WorkerSamples* pooled, LockFn&& acquire_release) {
-  ContendedCounter state;
-  std::atomic<int> ready{0};
-  std::vector<WorkerSamples> samples(threads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      int node;
-      BindWorker(t, &node);
-      samples[t].all.reserve(kLockIters);
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (ready.load(std::memory_order_acquire) < threads) {
-        CpuRelax();
-      }
-      for (int i = 0; i < kLockIters; ++i) {
-        acquire_release(state, node, &samples[t]);
-      }
-    });
+  state.waits.push_back(wait_ns);
+  if (same_node) {
+    state.same_node_waits.push_back(wait_ns);
   }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  for (WorkerSamples& s : samples) {
-    pooled->all.insert(pooled->all.end(), s.all.begin(), s.all.end());
-    pooled->same_node.insert(pooled->same_node.end(), s.same_node.begin(),
-                             s.same_node.end());
-  }
-  *state_out = state;
 }
 
 struct LockResult {
@@ -249,60 +205,96 @@ struct LockResult {
   uint64_t same_count = 0;
   int64_t counter = 0;
   int64_t migrations = 0;    // Cross-node handoffs (simulated transfers).
+  uint64_t batched = 0;      // CNA counters during the run.
+  uint64_t secondary_enqueues = 0;
 };
 
-LockResult Summarize(WorkerSamples& samples, const ContendedCounter& state) {
-  LockResult result;
-  result.counter = state.value;
-  result.migrations = state.migrations;
-  result.p50_ns = Percentile(samples.all, 0.5);
-  result.p99_ns = Percentile(samples.all, 0.99);
-  result.same_p50_ns = Percentile(samples.same_node, 0.5);
-  result.same_count = samples.same_node.size();
-  return result;
-}
-
-LockResult RunMcsContention(int threads) {
-  McsLock lock;
-  WorkerSamples samples;
-  ContendedCounter state;
-  RunContention(
-      threads, &state, &samples,
-      [&lock](ContendedCounter& state, int node, WorkerSamples* out) {
-        McsNode qnode;
-        uint64_t t0 = NowNs();
-        lock.Lock(&qnode);
-        uint64_t wait = NowNs() - t0;
-        bool same = CriticalSection(state, node);
-        lock.Unlock(&qnode);
-        out->all.push_back(wait);
-        if (same) {
-          out->same_node.push_back(wait);
-        }
-      });
-  return Summarize(samples, state);
-}
-
-LockResult RunCnaContention(int threads) {
+// Runs |threads| workers hammering one CnaLock, each charged by its logical
+// node; |flat| binds them all to node 0 (see BindWorker), which makes the
+// handoff FIFO. Waits for every worker at a start barrier first — without it
+// the short run is over before the last thread spawns and the "contention"
+// measures an empty queue.
+LockResult RunContention(int threads, bool flat) {
+  const StatsDomain& stats = GlobalStats();
+  const uint64_t batched0 = stats.Total(Counter::kCnaBatchedHandoffs);
+  const uint64_t sec0 = stats.Total(Counter::kCnaSecondaryEnqueues);
   CnaLock lock;
-  WorkerSamples samples;
   ContendedCounter state;
-  RunContention(
-      threads, &state, &samples,
-      [&lock](ContendedCounter& state, int node, WorkerSamples* out) {
+  state.waits.reserve(static_cast<size_t>(kLockIters) * threads);
+  state.same_node_waits.reserve(state.waits.capacity());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      int node = BindWorker(t, flat);
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < threads) {
+        CpuRelax();
+      }
+      for (int i = 0; i < kLockIters; ++i) {
         CnaNode* qnode = CnaNodePool::Get();
         uint64_t t0 = NowNs();
         lock.Lock(qnode);
-        uint64_t wait = NowNs() - t0;
-        bool same = CriticalSection(state, node);
+        CriticalSection(state, node, NowNs() - t0);
         lock.Unlock(qnode);
         CnaNodePool::Put(qnode);
-        out->all.push_back(wait);
-        if (same) {
-          out->same_node.push_back(wait);
-        }
-      });
-  return Summarize(samples, state);
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  LockResult result;
+  result.counter = state.value;
+  result.migrations = state.migrations;
+  result.p50_ns = Percentile(state.waits, 0.5);
+  result.p99_ns = Percentile(state.waits, 0.99);
+  result.same_p50_ns = Percentile(state.same_node_waits, 0.5);
+  result.same_count = state.same_node_waits.size();
+  result.batched = stats.Total(Counter::kCnaBatchedHandoffs) - batched0;
+  result.secondary_enqueues = stats.Total(Counter::kCnaSecondaryEnqueues) - sec0;
+  return result;
+}
+
+// One flat/CNA measurement pair and its verdicts. The retry loop and the
+// final gates both read these predicates, so a pair that ends the retries is
+// exactly a pair that passes.
+struct Contention {
+  LockResult flat;
+  LockResult cna;
+  int64_t expected = 0;  // Increments a correct lock preserves.
+  bool multi_node = false;
+  // The wall-clock gate needs two nodes (with one, both runs are the same
+  // lock under the same binding, and the comparison is a coin flip), a
+  // sanitizer-free build, and every worker on its own hardware thread: on a
+  // smaller host (single-core CI) the scheduler time-slices the "contention"
+  // and the percentiles measure quantum boundaries, not lock behavior.
+  bool timing_gated = false;
+
+  bool Exclusive() const {
+    return flat.counter == expected && cna.counter == expected;
+  }
+  bool FlatIsFifo() const { return flat.secondary_enqueues == 0; }
+  bool SameNodeFaster() const {
+    return cna.same_count > 0 && flat.same_count > 0 &&
+           cna.same_p50_ns <= flat.same_p50_ns;
+  }
+  bool FewerCrossings() const { return cna.migrations < flat.migrations; }
+  bool Batched() const { return cna.batched > 0; }
+  bool Passes() const {
+    return Exclusive() && FlatIsFifo() && (!timing_gated || SameNodeFaster()) &&
+           (!multi_node || (FewerCrossings() && Batched()));
+  }
+};
+
+Contention MeasureContention(int threads, bool wallclock_meaningful) {
+  Contention c;
+  c.expected = static_cast<int64_t>(kLockIters) * threads;
+  c.multi_node = NodeTopology::Instance().nodes() >= 2;
+  c.timing_gated = c.multi_node && kTimingGates && wallclock_meaningful;
+  c.flat = RunContention(threads, /*flat=*/true);
+  c.cna = RunContention(threads, /*flat=*/false);
+  return c;
 }
 
 // --- Phase C: spill + home return --------------------------------------------
@@ -396,13 +388,13 @@ int main(int argc, char** argv) {
   PrintHeader("Ablation — NUMA topology (per-node arenas, CNA lock)",
               "per-node buddy arenas + CNA-style compact NUMA-aware lock "
               "(DESIGN.md §11)",
-              ">=90% local allocations pinned; CNA p50 <= flat MCS under "
-              "cross-socket contention; spills succeed and frees return home.");
+              ">=90% local allocations pinned; CNA p50 <= flat (single-node) "
+              "CNA under cross-socket contention; spills succeed and frees "
+              "return home.");
   std::printf("topology: %d node(s), %d CPUs per node, %d workers\n\n",
               topo.nodes(), topo.cpus_per_node(), threads);
 
   const uint64_t baseline_free = BuddyAllocator::Instance().FreeFrameCount();
-  bool gate_ok = true;
 
   // --- Phase A: locality ----------------------------------------------------
   LocalityResult locality = RunLocality(sink);
@@ -411,118 +403,94 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(locality.local),
               static_cast<unsigned long long>(locality.remote),
               100.0 * locality.ratio);
-  if (locality.ratio < 0.90) {
-    std::printf("  FAIL: local-allocation ratio %.1f%% below the 90%% gate\n",
-                100.0 * locality.ratio);
-    gate_ok = false;
-  }
+  sink.Gate("local_alloc_ratio", locality.ratio, 0.90, locality.ratio >= 0.90,
+            "local-allocation ratio %.1f%% below the 90%% gate",
+            100.0 * locality.ratio);
 
-  // --- Phase B: CNA vs MCS --------------------------------------------------
-  // Two live timing measurements: retry the pair to absorb scheduler noise
-  // (same rationale as ablation_faultpath.cc), gate on the best pair.
-  const StatsDomain& stats = GlobalStats();
-  constexpr int kAttempts = 3;
-  LockResult mcs;
-  LockResult cna;
-  uint64_t batched = 0;
-  uint64_t sec_enq = 0;
-  // The wall-clock percentile gate needs every worker on its own hardware
-  // thread; on a smaller host (single-core CI) the scheduler time-slices the
-  // "contention" and the percentiles measure quantum boundaries, not lock
-  // behavior. The migration-count gate below holds either way.
+  // --- Phase B: CNA vs flat -------------------------------------------------
+  // Two live timing measurements: retry the pair to absorb scheduler noise,
+  // stopping at the first pair that passes every contention gate.
   const bool wallclock_meaningful =
       std::thread::hardware_concurrency() >= static_cast<unsigned>(threads);
+  constexpr int kAttempts = 3;
+  Contention c;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    const uint64_t batched0 = stats.Total(Counter::kCnaBatchedHandoffs);
-    const uint64_t sec0 = stats.Total(Counter::kCnaSecondaryEnqueues);
-    mcs = RunMcsContention(threads);
-    cna = RunCnaContention(threads);
-    batched = stats.Total(Counter::kCnaBatchedHandoffs) - batched0;
-    sec_enq = stats.Total(Counter::kCnaSecondaryEnqueues) - sec0;
-#if NUMA_TIMING_GATES
-    bool fast_enough = !wallclock_meaningful ||
-                       (cna.same_p50_ns <= mcs.same_p50_ns &&
-                        cna.same_count > 0 && mcs.same_count > 0);
-#else
-    bool fast_enough = true;
-#endif
-    bool fewer_crossings =
-        topo.nodes() < 2 || cna.migrations < mcs.migrations;
-    if (fast_enough && fewer_crossings && (topo.nodes() < 2 || batched > 0)) {
+    c = MeasureContention(threads, wallclock_meaningful);
+    if (c.Passes()) {
       break;
     }
     if (attempt + 1 < kAttempts) {
-      std::printf("attempt %d noisy (same-node p50 mcs/cna %llu/%llu, "
+      std::printf("attempt %d noisy (same-node p50 flat/cna %llu/%llu, "
                   "migrations %lld/%lld, batched %llu); remeasuring\n",
-                  attempt + 1, static_cast<unsigned long long>(mcs.same_p50_ns),
-                  static_cast<unsigned long long>(cna.same_p50_ns),
-                  static_cast<long long>(mcs.migrations),
-                  static_cast<long long>(cna.migrations),
-                  static_cast<unsigned long long>(batched));
+                  attempt + 1, static_cast<unsigned long long>(c.flat.same_p50_ns),
+                  static_cast<unsigned long long>(c.cna.same_p50_ns),
+                  static_cast<long long>(c.flat.migrations),
+                  static_cast<long long>(c.cna.migrations),
+                  static_cast<unsigned long long>(c.cna.batched));
     }
   }
   sink.Snapshot("contention");
 
   std::printf("\n%-24s %12s %12s %14s %12s %12s\n", "lock:", "p50_ns",
               "p99_ns", "same_p50_ns", "migrations", "counter");
-  std::printf("%-24s %12llu %12llu %14llu %12lld %12lld\n", "mcs (flat)",
-              static_cast<unsigned long long>(mcs.p50_ns),
-              static_cast<unsigned long long>(mcs.p99_ns),
-              static_cast<unsigned long long>(mcs.same_p50_ns),
-              static_cast<long long>(mcs.migrations),
-              static_cast<long long>(mcs.counter));
-  std::printf("%-24s %12llu %12llu %14llu %12lld %12lld\n", "cna",
-              static_cast<unsigned long long>(cna.p50_ns),
-              static_cast<unsigned long long>(cna.p99_ns),
-              static_cast<unsigned long long>(cna.same_p50_ns),
-              static_cast<long long>(cna.migrations),
-              static_cast<long long>(cna.counter));
-  std::printf("cna batched handoffs: %llu, secondary enqueues: %llu, "
-              "same-node acquisitions mcs/cna: %llu/%llu\n",
-              static_cast<unsigned long long>(batched),
-              static_cast<unsigned long long>(sec_enq),
-              static_cast<unsigned long long>(mcs.same_count),
-              static_cast<unsigned long long>(cna.same_count));
-
-  const int64_t expected = static_cast<int64_t>(kLockIters) * threads;
-  if (mcs.counter != expected || cna.counter != expected) {
-    std::printf("  FAIL: lost increments (mcs %lld, cna %lld, expected %lld) — "
-                "mutual exclusion broke\n",
-                static_cast<long long>(mcs.counter),
-                static_cast<long long>(cna.counter),
-                static_cast<long long>(expected));
-    gate_ok = false;
+  for (const auto& [label, r] :
+       {std::pair<const char*, const LockResult&>{"flat (1-node cna)", c.flat},
+        std::pair<const char*, const LockResult&>{"cna", c.cna}}) {
+    std::printf("%-24s %12llu %12llu %14llu %12lld %12lld\n", label,
+                static_cast<unsigned long long>(r.p50_ns),
+                static_cast<unsigned long long>(r.p99_ns),
+                static_cast<unsigned long long>(r.same_p50_ns),
+                static_cast<long long>(r.migrations),
+                static_cast<long long>(r.counter));
   }
-#if NUMA_TIMING_GATES
-  if (wallclock_meaningful) {
-    if (cna.same_count == 0 || mcs.same_count == 0 ||
-        cna.same_p50_ns > mcs.same_p50_ns) {
-      std::printf("  FAIL: CNA same-node p50 %lluns not below flat MCS %lluns "
-                  "under cross-socket contention\n",
-                  static_cast<unsigned long long>(cna.same_p50_ns),
-                  static_cast<unsigned long long>(mcs.same_p50_ns));
-      gate_ok = false;
-    }
-  } else {
-    std::printf("timing gate (CNA same-node p50 <= MCS) informational only: "
+  std::printf("cna batched handoffs: %llu, secondary enqueues flat/cna: "
+              "%llu/%llu, same-node acquisitions flat/cna: %llu/%llu\n",
+              static_cast<unsigned long long>(c.cna.batched),
+              static_cast<unsigned long long>(c.flat.secondary_enqueues),
+              static_cast<unsigned long long>(c.cna.secondary_enqueues),
+              static_cast<unsigned long long>(c.flat.same_count),
+              static_cast<unsigned long long>(c.cna.same_count));
+
+  sink.Gate("lost_increments",
+            static_cast<double>(2 * c.expected - c.flat.counter - c.cna.counter),
+            0, c.Exclusive(),
+            "lost increments (flat %lld, cna %lld, expected %lld) — mutual "
+            "exclusion broke",
+            static_cast<long long>(c.flat.counter),
+            static_cast<long long>(c.cna.counter),
+            static_cast<long long>(c.expected));
+  sink.Gate("flat_secondary_enqueues",
+            static_cast<double>(c.flat.secondary_enqueues), 0, c.FlatIsFifo(),
+            "the flat comparator detached %llu waiters — its handoff is not "
+            "FIFO",
+            static_cast<unsigned long long>(c.flat.secondary_enqueues));
+  if (c.timing_gated) {
+    sink.Gate("cna_same_node_p50_ns", static_cast<double>(c.cna.same_p50_ns),
+              static_cast<double>(c.flat.same_p50_ns), c.SameNodeFaster(),
+              "CNA same-node p50 %lluns not below flat %lluns under "
+              "cross-socket contention",
+              static_cast<unsigned long long>(c.cna.same_p50_ns),
+              static_cast<unsigned long long>(c.flat.same_p50_ns));
+  } else if (!c.multi_node) {
+    std::printf("timing gate (CNA same-node p50 <= flat) skipped: one node\n");
+  } else if (kTimingGates) {
+    std::printf("timing gate (CNA same-node p50 <= flat) informational only: "
                 "host has %u hardware threads for %d workers\n",
                 std::thread::hardware_concurrency(), threads);
+  } else {
+    std::printf("timing gate (CNA same-node p50 <= flat) informational only "
+                "under sanitizers\n");
   }
-#else
-  std::printf("timing gate (CNA same-node p50 <= MCS) informational only "
-              "under sanitizers\n");
-#endif
-  if (topo.nodes() >= 2 && cna.migrations >= mcs.migrations) {
-    std::printf("  FAIL: CNA crossed nodes %lld times, flat MCS %lld — the "
-                "NUMA-aware handoff must reduce interconnect transfers\n",
-                static_cast<long long>(cna.migrations),
-                static_cast<long long>(mcs.migrations));
-    gate_ok = false;
-  }
-  if (topo.nodes() >= 2 && batched == 0) {
-    std::printf("  FAIL: zero batched handoffs — the CNA secondary queue "
-                "never engaged\n");
-    gate_ok = false;
+  if (c.multi_node) {
+    sink.Gate("cna_migrations", static_cast<double>(c.cna.migrations),
+              static_cast<double>(c.flat.migrations), c.FewerCrossings(),
+              "CNA crossed nodes %lld times, flat %lld — the NUMA-aware "
+              "handoff must reduce interconnect transfers",
+              static_cast<long long>(c.cna.migrations),
+              static_cast<long long>(c.flat.migrations));
+    sink.Gate("cna_batched_handoffs", static_cast<double>(c.cna.batched), 0,
+              c.Batched(),
+              "zero batched handoffs — the CNA secondary queue never engaged");
   }
 
   // --- Phase C: spill + home return -----------------------------------------
@@ -536,52 +504,30 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(spill.foreign_frames),
                 static_cast<unsigned long long>(spill.spills),
                 static_cast<unsigned long long>(spill.remote_allocs));
-    if (spill.alloc_failed) {
-      std::printf("  FAIL: an allocation failed while remote arenas had "
-                  "free frames\n");
-      gate_ok = false;
-    }
-    if (spill.foreign_frames != 64 || spill.remote_allocs < 64) {
-      std::printf("  FAIL: expected 64 off-node frames after draining node 0 "
-                  "(got %llu foreign, %llu remote allocs)\n",
-                  static_cast<unsigned long long>(spill.foreign_frames),
-                  static_cast<unsigned long long>(spill.remote_allocs));
-      gate_ok = false;
-    }
-    if (spill.node0_free_after != spill.node0_free_before) {
-      std::printf("  FAIL: node 0 free count %llu != %llu before the drain — "
-                  "frees did not return home\n",
-                  static_cast<unsigned long long>(spill.node0_free_after),
-                  static_cast<unsigned long long>(spill.node0_free_before));
-      gate_ok = false;
-    }
-    if (spill.misplaced != 0) {
-      std::printf("  FAIL: %llu free frames chained on a foreign arena\n",
-                  static_cast<unsigned long long>(spill.misplaced));
-      gate_ok = false;
-    }
+    sink.Gate("spill_alloc_failures", spill.alloc_failed ? 1 : 0, 0,
+              !spill.alloc_failed,
+              "an allocation failed while remote arenas had free frames");
+    sink.Gate("spill_foreign_frames", static_cast<double>(spill.foreign_frames),
+              64, spill.foreign_frames == 64 && spill.remote_allocs >= 64,
+              "expected 64 off-node frames after draining node 0 (got %llu "
+              "foreign, %llu remote allocs)",
+              static_cast<unsigned long long>(spill.foreign_frames),
+              static_cast<unsigned long long>(spill.remote_allocs));
+    sink.Gate("node0_free_frames", static_cast<double>(spill.node0_free_after),
+              static_cast<double>(spill.node0_free_before),
+              spill.node0_free_after == spill.node0_free_before,
+              "node 0 free count %llu != %llu before the drain — frees did "
+              "not return home",
+              static_cast<unsigned long long>(spill.node0_free_after),
+              static_cast<unsigned long long>(spill.node0_free_before));
+    sink.Gate("misplaced_free_frames", static_cast<double>(spill.misplaced), 0,
+              spill.misplaced == 0, "%llu free frames chained on a foreign arena",
+              static_cast<unsigned long long>(spill.misplaced));
   }
   sink.Snapshot("spill");
 
   // --- Leak gate ------------------------------------------------------------
   BuddyAllocator::Instance().DrainMagazines();
-  LeakReport leaks = CheckFrameLeaks(baseline_free);
-  if (!leaks.ok) {
-    std::printf("  FAIL: leaked %lld frames (baseline %llu, now %llu, "
-                "stranded cached %llu, stranded anon %llu, misplaced %llu)\n",
-                static_cast<long long>(leaks.leaked),
-                static_cast<unsigned long long>(leaks.baseline_free),
-                static_cast<unsigned long long>(leaks.current_free),
-                static_cast<unsigned long long>(leaks.stranded_cached),
-                static_cast<unsigned long long>(leaks.stranded_anon),
-                static_cast<unsigned long long>(leaks.misplaced_home));
-    gate_ok = false;
-  } else {
-    std::printf("frame leaks after drain: 0 (misplaced: 0)\n");
-  }
-
-  PrintTraceDropRate();
-  std::string json_path = sink.Write();
-  std::printf("\ntelemetry: %s\n", json_path.c_str());
-  return gate_ok ? 0 : 1;
+  GateFrameLeaks(sink, baseline_free);
+  return sink.Finish();
 }

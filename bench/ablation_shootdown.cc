@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 4 : 64;
   std::printf("%-16s %12s %12s %12s   [16 sparse pages/pass, %d passes]\n", "policy:",
               "batched", "unbatched", "reduction", reps);
-  bool gate_ok = true;
   for (TlbPolicy policy : {TlbPolicy::kSync, TlbPolicy::kEarlyAck, TlbPolicy::kLatr}) {
     SparseResult with_gather = RunSparseUnmap(policy, /*batched=*/true, reps);
     sink.Snapshot(std::string("sparse_unmap/") + TlbPolicyName(policy) + "/batched");
@@ -192,15 +191,11 @@ int main(int argc, char** argv) {
     std::printf("%-16s %12llu %12llu %11.1fx\n", TlbPolicyName(policy),
                 static_cast<unsigned long long>(with_gather.shootdowns),
                 static_cast<unsigned long long>(without.shootdowns), reduction);
-    if (reduction < 4.0) {
-      std::printf("  FAIL: %s reduction %.1fx is below the 4x gate\n",
-                  TlbPolicyName(policy), reduction);
-      gate_ok = false;
-    }
+    sink.Gate(std::string("gather_reduction/") + TlbPolicyName(policy),
+              reduction, 4.0, reduction >= 4.0,
+              "%s reduction %.1fx is below the 4x gate", TlbPolicyName(policy),
+              reduction);
   }
 
-  PrintTraceDropRate();
-  std::string json_path = sink.Write();
-  std::printf("\ntelemetry: %s\n", json_path.c_str());
-  return gate_ok ? 0 : 1;
+  return sink.Finish();
 }

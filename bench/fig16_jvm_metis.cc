@@ -27,8 +27,7 @@ void JvmPanel() {
     std::printf("%-16s", MmKindName(kind));
     for (int threads : sweep) {
       TraceResult r = RunJvmThreadCreation(kind, threads);
-      std::printf(" %6.2f|%2.0f%%", r.seconds * 1e3,
-                  r.seconds > 0 ? 100 * r.kernel_seconds / (r.seconds * threads) : 0);
+      std::printf(" %6.2f|%3s", r.seconds * 1e3, KernelShare(r, threads).c_str());
     }
     std::printf("\n");
   }
@@ -49,8 +48,7 @@ void MetisPanel() {
     std::printf("%-16s", MmKindName(kind));
     for (int threads : sweep) {
       TraceResult r = RunMetis(kind, threads);
-      std::printf(" %7.3g|%2.0f%%", r.throughput(),
-                  r.seconds > 0 ? 100 * r.kernel_seconds / (r.seconds * threads) : 0);
+      std::printf(" %7.3g|%3s", r.throughput(), KernelShare(r, threads).c_str());
     }
     std::printf("\n");
   }

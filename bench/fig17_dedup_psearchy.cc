@@ -26,8 +26,7 @@ void Panel(const char* title, TraceFn fn, int per_thread) {
       std::printf("%-16s", MmKindName(kind));
       for (int threads : sweep) {
         TraceResult r = fn(kind, model, threads, per_thread);
-        std::printf(" %6.3g|%2.0f%%", r.throughput(),
-                    r.seconds > 0 ? 100 * r.kernel_seconds / (r.seconds * threads) : 0);
+        std::printf(" %6.3g|%3s", r.throughput(), KernelShare(r, threads).c_str());
       }
       std::printf("\n");
     }

@@ -38,7 +38,6 @@
 #include "src/sim/corten_vm.h"
 #include "src/sync/rcu.h"
 #include "src/tlb/shootdown.h"
-#include "src/verif/wf_checker.h"
 
 namespace cortenmm {
 namespace {
@@ -320,51 +319,30 @@ int Run(bool smoke) {
               static_cast<unsigned long long>(total.fork_failures));
   std::printf("%-24s %12llu\n", "kNoMem (limited)",
               static_cast<unsigned long long>(total.nomem_limited));
-  PrintTraceDropRate();
-
-  bool gate_ok = true;
-  if (total.lifecycles < 1000) {
-    std::printf("FAIL: only %llu lifecycles completed (gate: >= 1000)\n",
-                static_cast<unsigned long long>(total.lifecycles));
-    gate_ok = false;
-  }
-  if (total.nomem_unlimited != 0) {
-    std::printf("FAIL: %llu kNoMem surfaced to tenants under their limit\n",
-                static_cast<unsigned long long>(total.nomem_unlimited));
-    gate_ok = false;
-  }
-  if (total.ring_completions != total.ring_submissions) {
-    std::printf("FAIL: %llu ring submissions but %llu completions\n",
-                static_cast<unsigned long long>(total.ring_submissions),
-                static_cast<unsigned long long>(total.ring_completions));
-    gate_ok = false;
-  }
-  if (evicted == 0) {
-    std::printf("FAIL: reclaim_pages_evicted is zero — no pressure exercised\n");
-    gate_ok = false;
-  }
-  if (wakeups == 0) {
-    std::printf("FAIL: reclaim_wakeups is zero — kswapd never woke\n");
-    gate_ok = false;
-  }
+  sink.Gate("lifecycles", static_cast<double>(total.lifecycles), 1000,
+            total.lifecycles >= 1000,
+            "only %llu lifecycles completed (gate: >= 1000)",
+            static_cast<unsigned long long>(total.lifecycles));
+  sink.Gate("nomem_under_limit", static_cast<double>(total.nomem_unlimited), 0,
+            total.nomem_unlimited == 0,
+            "%llu kNoMem surfaced to tenants under their limit",
+            static_cast<unsigned long long>(total.nomem_unlimited));
+  sink.Gate("ring_completions", static_cast<double>(total.ring_completions),
+            static_cast<double>(total.ring_submissions),
+            total.ring_completions == total.ring_submissions,
+            "%llu ring submissions but %llu completions",
+            static_cast<unsigned long long>(total.ring_submissions),
+            static_cast<unsigned long long>(total.ring_completions));
+  sink.Gate("reclaim_pages_evicted", static_cast<double>(evicted), 0,
+            evicted > 0, "reclaim_pages_evicted is zero — no pressure exercised");
+  sink.Gate("reclaim_wakeups", static_cast<double>(wakeups), 0, wakeups > 0,
+            "reclaim_wakeups is zero — kswapd never woke");
 
   // Every frame any tenant ever held must be back in the buddy.
-  LeakReport leaks = CheckFrameLeaks(baseline_free);
-  if (!leaks.ok) {
-    std::printf("FAIL: leaked %lld frames (baseline %llu, now %llu, "
-                "stranded cached %llu anon %llu)\n",
-                static_cast<long long>(leaks.leaked),
-                static_cast<unsigned long long>(leaks.baseline_free),
-                static_cast<unsigned long long>(leaks.current_free),
-                static_cast<unsigned long long>(leaks.stranded_cached),
-                static_cast<unsigned long long>(leaks.stranded_anon));
-    gate_ok = false;
-  }
+  GateFrameLeaks(sink, baseline_free);
 
   sink.Snapshot("fleet");
-  std::string json_path = sink.Write();
-  std::printf("\ntelemetry: %s\n", json_path.c_str());
-  return gate_ok ? 0 : 1;
+  return sink.Finish();
 }
 
 }  // namespace

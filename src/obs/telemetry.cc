@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -541,6 +543,20 @@ std::string BuildConfig::Json() {
 // TelemetrySink
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// A JSON number for |v|; JSON has no inf/nan, so those become null.
+std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
+  return buf;
+}
+
+}  // namespace
+
 TelemetrySink::TelemetrySink(const std::string& bench_name, uint64_t trace_capacity)
     : bench_name_(bench_name) {
 #if CORTENMM_TELEMETRY
@@ -561,11 +577,68 @@ TelemetrySink::~TelemetrySink() {
 void TelemetrySink::Snapshot(const std::string& label) {
 #if CORTENMM_TELEMETRY
   snapshots_.push_back(Telemetry::Instance().DumpJson(label));
+  AccumulateTraceDrops();
   Telemetry::Instance().Reset();
   GlobalStats().Reset();
 #else
   (void)label;
 #endif
+}
+
+void TelemetrySink::Gate(const std::string& name, double measured,
+                         double threshold, bool pass, const char* fail_fmt,
+                         ...) {
+  gates_.push_back({name, measured, threshold, pass});
+  if (!pass) {
+    std::va_list args;
+    va_start(args, fail_fmt);
+    std::printf("  FAIL: ");
+    std::vprintf(fail_fmt, args);
+    std::printf("\n");
+    va_end(args);
+  }
+}
+
+void TelemetrySink::AccumulateTraceDrops() {
+  const TraceRing& ring = Telemetry::Instance().trace();
+  trace_recorded_ += ring.Recorded();
+  trace_dropped_ += ring.Dropped();
+  for (const TraceRing::CpuStats& s : ring.PerCpuStats()) {
+    double rate =
+        s.recorded > 0 ? static_cast<double>(s.dropped) / s.recorded : 0.0;
+    if (rate > worst_cpu_drop_rate_) {
+      worst_cpu_drop_rate_ = rate;
+      worst_cpu_ = s.cpu;
+    }
+  }
+}
+
+int TelemetrySink::Finish() {
+  AccumulateTraceDrops();
+  double rate = trace_recorded_ > 0
+                    ? static_cast<double>(trace_dropped_) / trace_recorded_
+                    : 0.0;
+  std::printf("trace drops: %llu/%llu events (%.1f%% drop rate",
+              static_cast<unsigned long long>(trace_dropped_),
+              static_cast<unsigned long long>(trace_recorded_), rate * 100.0);
+  if (worst_cpu_ >= 0) {
+    std::printf(", worst cpu %d at %.1f%%", worst_cpu_,
+                worst_cpu_drop_rate_ * 100.0);
+  }
+  std::printf(")\n");
+  if (rate > 0.5) {
+    std::printf(
+        "WARN: trace drop rate %.1f%% exceeds 50%% — the ring overwrote most "
+        "of what this bench recorded; raise the TelemetrySink trace capacity\n",
+        rate * 100.0);
+  }
+  std::printf("\ntelemetry: %s\n", Write().c_str());
+  for (const GateRecord& g : gates_) {
+    if (!g.pass) {
+      return 1;
+    }
+  }
+  return 0;
 }
 
 std::string TelemetrySink::Write() {
@@ -591,6 +664,14 @@ std::string TelemetrySink::Write() {
       os << ",";
     }
     os << snapshots_[i];
+  }
+  os << "],\"gates\":[";
+  for (size_t i = 0; i < gates_.size(); ++i) {
+    const GateRecord& g = gates_[i];
+    os << (i != 0 ? "," : "") << "{\"name\":\"" << g.name
+       << "\",\"measured\":" << JsonNumber(g.measured)
+       << ",\"threshold\":" << JsonNumber(g.threshold)
+       << ",\"pass\":" << (g.pass ? "true" : "false") << "}";
   }
   os << "]}\n";
   std::string doc = os.str();

@@ -3,7 +3,7 @@
 //
 //   * LatencyHistogram — log2-bucketed nanosecond histograms, one slot per
 //     CPU, recording every MM entry point (MmOp) and every lock-protocol
-//     phase (LockPhase: rw descent, adv RCU traversal, MCS acquire, DFS
+//     phase (LockPhase: rw descent, adv RCU traversal, CNA acquire, DFS
 //     subtree lock, TLB shootdown wait, ...). Merging and percentile math
 //     happen off the hot path.
 //   * TraceRing — a fixed-size per-CPU ring of transaction events (acquire
@@ -55,7 +55,8 @@ enum class MmOp : int {
 enum class LockPhase : int {
   kRwDescent = 0,       // kRw: hand-over-hand BRAVO read descent + covering write lock
   kAdvRcuTraversal,     // kAdv: lock-free traversal inside the RCU read section
-  kMcsAcquire,          // kAdv: MCS lock on the covering candidate (incl. stale retries)
+  kMcsAcquire,          // kAdv: CNA lock on the covering candidate (incl. stale
+                        // retries); keeps its historical "mcs_acquire" JSON name
   kDfsSubtreeLock,      // kAdv: preorder DFS over existing descendants
   kShootdownWait,       // TLB shootdown issue-to-done (initiator side)
   kBravoRevocation,     // BRAVO writer bias-revocation scan
@@ -412,6 +413,7 @@ class AcquireSampler {
 class LatencyHistogram;
 
 struct HistogramSnapshot {
+  uint64_t sum_ns = 0;
   void Merge(const LatencyHistogram&) {}
   uint64_t TotalCount() const { return 0; }
   uint64_t Percentile(double) const { return 0; }
@@ -516,8 +518,13 @@ class BuildConfig {
 // its stdout tables. The output path defaults to BENCH_<name>.json in the
 // working directory; the CORTENMM_TELEMETRY_JSON environment variable
 // overrides it. With telemetry compiled out the file records only
-// {"telemetry": "disabled"}. Every document carries the BuildConfig block so
-// a result can never be mistaken for one produced under different flags.
+// {"telemetry": "disabled"} plus the gates. Every document carries the
+// BuildConfig block so a result can never be mistaken for one produced under
+// different flags.
+//
+// It is also the smoke benches' gate harness: each Gate() verdict lands in
+// the document's top-level "gates" array, and Finish() turns them into the
+// process exit code.
 class TelemetrySink {
  public:
   // |trace_capacity| > 0 resizes the per-CPU trace rings for the bench's
@@ -531,13 +538,40 @@ class TelemetrySink {
   // next snapshot starts clean.
   void Snapshot(const std::string& label);
 
+  // Records the gate {name, measured, threshold, pass}; a failing gate also
+  // prints "  FAIL: " followed by the printf-formatted |fail_fmt|.
+  void Gate(const std::string& name, double measured, double threshold,
+            bool pass, const char* fail_fmt, ...)
+      __attribute__((format(printf, 6, 7)));
+
   // Writes the document now (also called by the destructor). Returns the
   // path written, empty on failure.
   std::string Write();
 
+  // The smoke-bench tail: prints the whole run's trace-ring drop rate (a
+  // loud warning above 50% — the cue to raise |trace_capacity|), writes the
+  // document, and returns the exit code: 0 iff every gate passed.
+  int Finish();
+
  private:
+  struct GateRecord {
+    std::string name;
+    double measured;
+    double threshold;
+    bool pass;
+  };
+
+  // Folds the trace ring's accounting into the run totals; called before
+  // every reset so Finish() reports the whole run, not the last window.
+  void AccumulateTraceDrops();
+
   std::string bench_name_;
   std::vector<std::string> snapshots_;
+  std::vector<GateRecord> gates_;
+  uint64_t trace_recorded_ = 0;
+  uint64_t trace_dropped_ = 0;
+  double worst_cpu_drop_rate_ = 0.0;
+  int worst_cpu_ = -1;
   bool written_ = false;
 };
 

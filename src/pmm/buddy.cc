@@ -682,17 +682,8 @@ std::string BuddyAllocator::DumpFaultpathJson() {
     total.clean_frames += s.clean_frames;
     total.dirty_frames += s.dirty_frames;
   }
-  const StatsDomain& stats = GlobalStats();
   std::ostringstream os;
   os << "{\"magazines_enabled\":" << (MagazinesEnabled() ? 1 : 0)
-     << ",\"mag_hits\":" << stats.Total(Counter::kMagHits)
-     << ",\"mag_refills\":" << stats.Total(Counter::kMagRefills)
-     << ",\"mag_flushes\":" << stats.Total(Counter::kMagFlushes)
-     << ",\"mag_drains\":" << stats.Total(Counter::kMagDrains)
-     << ",\"prezero_hits\":" << stats.Total(Counter::kPrezeroHits)
-     << ",\"prescrub_frames_zeroed\":" << stats.Total(Counter::kPrescrubFramesZeroed)
-     << ",\"fault_around_mapped\":" << stats.Total(Counter::kFaultAroundMapped)
-     << ",\"buddy_lock_acquisitions\":" << stats.Total(Counter::kBuddyLockAcquisitions)
      << ",\"depot_clean_mags\":" << total.clean_mags
      << ",\"depot_dirty_mags\":" << total.dirty_mags
      << ",\"depot_clean_frames\":" << total.clean_frames
@@ -701,17 +692,9 @@ std::string BuddyAllocator::DumpFaultpathJson() {
 }
 
 std::string BuddyAllocator::DumpNumaJson() {
-  const StatsDomain& stats = GlobalStats();
   std::ostringstream os;
   os << "{\"nodes\":" << num_nodes_
      << ",\"frames_per_node\":" << frames_per_node_
-     << ",\"numa_local_allocs\":" << stats.Total(Counter::kNumaLocalAllocs)
-     << ",\"numa_remote_allocs\":" << stats.Total(Counter::kNumaRemoteAllocs)
-     << ",\"numa_spills\":" << stats.Total(Counter::kNumaSpills)
-     << ",\"numa_remote_accesses\":" << stats.Total(Counter::kNumaRemoteAccesses)
-     << ",\"cna_batched_handoffs\":" << stats.Total(Counter::kCnaBatchedHandoffs)
-     << ",\"cna_secondary_enqueues\":" << stats.Total(Counter::kCnaSecondaryEnqueues)
-     << ",\"cna_secondary_flushes\":" << stats.Total(Counter::kCnaSecondaryFlushes)
      << ",\"node_free_frames\":[";
   for (int n = 0; n < num_nodes_; ++n) {
     os << (n ? "," : "") << arenas_[n]->FreeFrameCount();

@@ -275,9 +275,11 @@ class BuddyAllocator {
     }
   }
 
-  // "faultpath" telemetry block: magazine/prezero counters plus current depot
-  // occupancy (summed across arenas). "numa" block: per-node free frames and
-  // the local/remote/spill + CNA counters. Both registered at construction.
+  // "faultpath" telemetry block: magazine switch plus current depot occupancy
+  // (summed across arenas). "numa" block: topology shape and per-node free/
+  // total frames. Both registered at construction; only state that is not a
+  // Counter (the mag_*, prezero, numa_* and cna_* totals are already in the
+  // snapshot's "counters" block).
   std::string DumpFaultpathJson();
   std::string DumpNumaJson();
 

@@ -12,6 +12,7 @@
 #include "src/baseline/nros_mm.h"
 #include "src/baseline/radixvm_mm.h"
 #include "src/sim/corten_vm.h"
+#include "src/verif/wf_checker.h"
 
 namespace cortenmm {
 
@@ -101,10 +102,6 @@ std::vector<MmKind> ComparisonSet() {
           MmKind::kNros};
 }
 
-std::vector<MmKind> AblationSet() {
-  return {MmKind::kCortenAdv, MmKind::kCortenAdvVpa, MmKind::kCortenAdvBase};
-}
-
 const char* PlacementName(Placement placement) {
   return placement == Placement::kSameNode ? "same-node" : "striped";
 }
@@ -183,94 +180,20 @@ double RunParallel(int threads, const std::function<void(int)>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// ---------------------------------------------------------------------------
-// TimingMm
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class ScopedNanos {
- public:
-  explicit ScopedNanos(std::atomic<uint64_t>* sink)
-      : sink_(sink), t0_(std::chrono::steady_clock::now()) {}
-  ~ScopedNanos() {
-    auto t1 = std::chrono::steady_clock::now();
-    sink_->fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0_).count(),
-        std::memory_order_relaxed);
+void GateFrameLeaks(TelemetrySink& sink, uint64_t baseline_free) {
+  LeakReport leaks = CheckFrameLeaks(baseline_free);
+  if (leaks.ok) {
+    std::printf("frame leaks after drain: 0\n");
   }
-
- private:
-  std::atomic<uint64_t>* sink_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-}  // namespace
-
-Result<Vaddr> TimingMm::MmapAnon(const MmapArgs& args) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->MmapAnon(args);
-}
-
-void TimingMm::ExecuteBatch(const MmSqe* sqes, MmCqe* cqes, size_t n) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  inner_->ExecuteBatch(sqes, cqes, n);
-}
-
-VoidResult TimingMm::Munmap(Vaddr va, uint64_t len) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->Munmap(va, len);
-}
-
-VoidResult TimingMm::Mprotect(Vaddr va, uint64_t len, Perm perm) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->Mprotect(va, len, perm);
-}
-
-VoidResult TimingMm::HandleFault(Vaddr va, Access access) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->HandleFault(va, access);
-}
-
-Result<Vaddr> TimingMm::MmapFilePrivate(SimFile* file, uint32_t first_page,
-                                        uint64_t len, Perm perm) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->MmapFilePrivate(file, first_page, len, perm);
-}
-
-Result<Vaddr> TimingMm::MmapShared(SimFile* object, uint32_t first_page,
-                                   uint64_t len, Perm perm) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->MmapShared(object, first_page, len, perm);
-}
-
-VoidResult TimingMm::Msync(Vaddr va, uint64_t len) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->Msync(va, len);
-}
-
-VoidResult TimingMm::PkeyMprotect(Vaddr va, uint64_t len, int pkey) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->PkeyMprotect(va, len, pkey);
-}
-
-Result<uint64_t> TimingMm::SwapOut(Vaddr va, uint64_t len) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->SwapOut(va, len);
-}
-
-uint64_t TimingMm::KernelNanos() const {
-  uint64_t total = 0;
-  for (int cpu = 0; cpu < kMaxCpus; ++cpu) {
-    total += nanos_[cpu].value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void TimingMm::ResetKernelNanos() {
-  for (int cpu = 0; cpu < kMaxCpus; ++cpu) {
-    nanos_[cpu].value.store(0, std::memory_order_relaxed);
-  }
+  sink.Gate("frame_leaks", static_cast<double>(leaks.leaked), 0, leaks.ok,
+            "leaked %lld frames (baseline %llu, now %llu, stranded cached "
+            "%llu, stranded anon %llu, misplaced %llu)",
+            static_cast<long long>(leaks.leaked),
+            static_cast<unsigned long long>(leaks.baseline_free),
+            static_cast<unsigned long long>(leaks.current_free),
+            static_cast<unsigned long long>(leaks.stranded_cached),
+            static_cast<unsigned long long>(leaks.stranded_anon),
+            static_cast<unsigned long long>(leaks.misplaced_home));
 }
 
 // ---------------------------------------------------------------------------
@@ -300,38 +223,6 @@ void PrintRow(const std::string& label, const std::vector<double>& values,
     }
   }
   std::printf("\n");
-}
-
-bool PrintTraceDropRate() {
-  const TraceRing& ring = Telemetry::Instance().trace();
-  uint64_t recorded = ring.Recorded();
-  uint64_t dropped = ring.Dropped();
-  double rate = recorded > 0 ? static_cast<double>(dropped) / recorded : 0.0;
-  double worst = 0.0;
-  int worst_cpu = -1;
-  for (const TraceRing::CpuStats& s : ring.PerCpuStats()) {
-    double cpu_rate =
-        s.recorded > 0 ? static_cast<double>(s.dropped) / s.recorded : 0.0;
-    if (cpu_rate > worst) {
-      worst = cpu_rate;
-      worst_cpu = s.cpu;
-    }
-  }
-  std::printf("trace drops: %llu/%llu events (%.1f%% drop rate",
-              static_cast<unsigned long long>(dropped),
-              static_cast<unsigned long long>(recorded), rate * 100.0);
-  if (worst_cpu >= 0) {
-    std::printf(", worst cpu %d at %.1f%%", worst_cpu, worst * 100.0);
-  }
-  std::printf(")\n");
-  if (rate > 0.5) {
-    std::printf(
-        "WARN: trace drop rate %.1f%% exceeds 50%% — the ring overwrote most "
-        "of what this bench recorded; raise the TelemetrySink trace capacity\n",
-        rate * 100.0);
-    return false;
-  }
-  return true;
 }
 
 std::vector<int> SweepThreads() {

@@ -1,7 +1,6 @@
 // Shared benchmark harness: the MM factory (every system under test behind
 // one switch), a phased multithreaded runner with barrier-synchronized timed
-// sections, a timing decorator that separates "kernel" (MM) time from "user"
-// (compute) time for the paper's breakdown plots, and table formatting.
+// sections, the smoke benches' shared gates, and table formatting.
 #ifndef SRC_SIM_BENCH_UTIL_H_
 #define SRC_SIM_BENCH_UTIL_H_
 
@@ -14,6 +13,8 @@
 #include "src/sim/mm_interface.h"
 
 namespace cortenmm {
+
+class TelemetrySink;
 
 // Every memory manager the evaluation compares (paper §6.1), plus the
 // Figure 16 ablations of CortenMM_adv.
@@ -33,8 +34,6 @@ std::unique_ptr<MmInterface> MakeMm(MmKind kind, Arch arch = Arch::kX86_64);
 
 // The standard comparison set (Figures 1, 13, 14).
 std::vector<MmKind> ComparisonSet();
-// The ablation set (Figures 16, 17).
-std::vector<MmKind> AblationSet();
 
 // ---------------------------------------------------------------------------
 // NUMA placement policies
@@ -82,51 +81,29 @@ double RunPhased(const PhasedSpec& spec);
 double RunParallel(int threads, const std::function<void(int)>& fn);
 
 // ---------------------------------------------------------------------------
-// Kernel/user time split
+// Smoke gates
 // ---------------------------------------------------------------------------
 
-// Wraps an MmInterface, accumulating the time spent inside MM entry points —
-// the "kernel time" of the paper's Figure 16/17 breakdowns.
-class TimingMm final : public MmInterface {
- public:
-  explicit TimingMm(MmInterface* inner) : inner_(inner) {}
+// Whether wall-clock gates (one live timing against another) can fail a
+// smoke run. The sanitizers distort timings beyond use — tsan intercepts
+// every atomic and memory access, so a lock path and a lock-free path cost
+// nearly the same — so under asan/tsan those gates are informational and
+// only the functional gates (counters, leak checks) fail the run.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kTimingGates = false;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+inline constexpr bool kTimingGates = false;
+#else
+inline constexpr bool kTimingGates = true;
+#endif
+#else
+inline constexpr bool kTimingGates = true;
+#endif
 
-  const char* name() const override { return inner_->name(); }
-  Asid asid() const override { return inner_->asid(); }
-  PageTable& PageTableFor(CpuId cpu) override { return inner_->PageTableFor(cpu); }
-  void NoteCpuActive(CpuId cpu) override { inner_->NoteCpuActive(cpu); }
-  bool demand_paging() const override { return inner_->demand_paging(); }
-  uint64_t PtBytes() override { return inner_->PtBytes(); }
-  uint64_t MetaBytes() override { return inner_->MetaBytes(); }
-
-  uint32_t Pkru() const override { return inner_->Pkru(); }
-
-  using MmInterface::MmapAnon;
-  Result<Vaddr> MmapAnon(const MmapArgs& args) override;
-  VoidResult Munmap(Vaddr va, uint64_t len) override;
-  VoidResult Mprotect(Vaddr va, uint64_t len, Perm perm) override;
-  VoidResult HandleFault(Vaddr va, Access access) override;
-  Result<Vaddr> MmapFilePrivate(SimFile* file, uint32_t first_page, uint64_t len,
-                                Perm perm) override;
-  Result<Vaddr> MmapShared(SimFile* object, uint32_t first_page, uint64_t len,
-                           Perm perm) override;
-  VoidResult Msync(Vaddr va, uint64_t len) override;
-  VoidResult PkeyMprotect(Vaddr va, uint64_t len, int pkey) override;
-  Result<uint64_t> SwapOut(Vaddr va, uint64_t len) override;
-  // Note: the forked child is the inner manager's child, untimed.
-  std::unique_ptr<MmInterface> Fork() override { return inner_->Fork(); }
-  // Ring batches execute through the inner manager's fused path (if any);
-  // the wrapper times the batch as one kernel entry.
-  void ExecuteBatch(const MmSqe* sqes, MmCqe* cqes, size_t n) override;
-
-  // Total nanoseconds spent in MM entry points, across all threads.
-  uint64_t KernelNanos() const;
-  void ResetKernelNanos();
-
- private:
-  MmInterface* inner_;
-  CacheAligned<std::atomic<uint64_t>> nanos_[kMaxCpus];
-};
+// The zero-frame-leak gate: CheckFrameLeaks against |baseline_free| (the
+// free count before the run), recorded on |sink| as "frame_leaks".
+void GateFrameLeaks(TelemetrySink& sink, uint64_t baseline_free);
 
 // ---------------------------------------------------------------------------
 // Output formatting
@@ -142,14 +119,6 @@ void PrintRow(const std::string& label, const std::vector<double>& values,
 
 // Thread counts to sweep given this machine (1..2x hardware threads).
 std::vector<int> SweepThreads();
-
-// Prints the trace-ring drop accounting: total recorded/dropped events, the
-// aggregate drop rate, and the worst single-CPU drop rate. A bench whose
-// traces silently overwrote is not measuring what it claims; smoke runs print
-// this so the blindness is visible in CI logs. Returns false — after a loud
-// fail-warn — when the aggregate drop rate exceeds 50%, the cue to pass a
-// larger trace capacity to TelemetrySink.
-bool PrintTraceDropRate();
 
 }  // namespace cortenmm
 

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "src/common/rng.h"
+#include "src/obs/telemetry.h"
 #include "src/sim/mmu.h"
 #include "src/sync/spinlock.h"
 
@@ -294,6 +295,18 @@ TraceResult Median3(const std::function<TraceResult()>& run) {
   return c;
 }
 
+// Nanoseconds spent inside MM entry points so far, across all threads: the
+// summed op histograms, which ScopedOpTimer fills on the outermost call of
+// every entry point of all five backends. A trace's kernel time is the delta
+// over its run. Always 0 with telemetry compiled out.
+uint64_t MmEntryNanos() {
+  uint64_t total = 0;
+  for (int op = 0; op < static_cast<int>(MmOp::kCount); ++op) {
+    total += Telemetry::Instance().MergedOp(static_cast<MmOp>(op)).sum_ns;
+  }
+  return total;
+}
+
 TraceResult RunJvmThreadCreationOnce(MmKind kind, int nthreads);
 TraceResult RunMetisOnce(MmKind kind, int threads, int chunks_per_thread);
 TraceResult RunDedupOnce(MmKind kind, AllocModel model, int threads,
@@ -303,6 +316,16 @@ TraceResult RunPsearchyOnce(MmKind kind, AllocModel model, int threads,
 TraceResult RunParsecLikeOnce(MmKind kind, const std::string& app, int threads);
 
 }  // namespace
+
+std::string KernelShare(const TraceResult& r, int threads) {
+  if (!CORTENMM_TELEMETRY) {
+    return "n/a";
+  }
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%2.0f%%",
+                r.seconds > 0 ? 100 * r.kernel_seconds / (r.seconds * threads) : 0);
+  return buf;
+}
 
 // ---------------------------------------------------------------------------
 // JVM thread creation (Figure 16 left)
@@ -314,8 +337,9 @@ TraceResult RunJvmThreadCreation(MmKind kind, int nthreads) {
 
 namespace {
 TraceResult RunJvmThreadCreationOnce(MmKind kind, int nthreads) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
+  const uint64_t mm_ns0 = MmEntryNanos();
   TraceResult result;
   result.work_units = nthreads;
 
@@ -341,7 +365,7 @@ TraceResult RunJvmThreadCreationOnce(MmKind kind, int nthreads) {
       }
     }
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
+  result.kernel_seconds = static_cast<double>(MmEntryNanos() - mm_ns0) * 1e-9;
   return result;
 }
 }  // namespace
@@ -356,8 +380,9 @@ TraceResult RunMetis(MmKind kind, int threads, int chunks_per_thread) {
 
 namespace {
 TraceResult RunMetisOnce(MmKind kind, int threads, int chunks_per_thread) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
+  const uint64_t mm_ns0 = MmEntryNanos();
   TraceResult result;
 
   constexpr uint64_t kChunkBytes = 8ull << 20;  // 8 MiB, as in the RadixVM setup.
@@ -378,7 +403,7 @@ TraceResult RunMetisOnce(MmKind kind, int threads, int chunks_per_thread) {
       }
     }
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
+  result.kernel_seconds = static_cast<double>(MmEntryNanos() - mm_ns0) * 1e-9;
   return result;
 }
 }  // namespace
@@ -393,8 +418,9 @@ TraceResult RunDedup(MmKind kind, AllocModel model, int threads, int items_per_t
 
 namespace {
 TraceResult RunDedupOnce(MmKind kind, AllocModel model, int threads, int items_per_thread) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
+  const uint64_t mm_ns0 = MmEntryNanos();
   TraceResult result;
   result.work_units = static_cast<uint64_t>(threads) * items_per_thread;
 
@@ -422,7 +448,7 @@ TraceResult RunDedupOnce(MmKind kind, AllocModel model, int threads, int items_p
     }
   });
   (void)pipeline_counter;
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
+  result.kernel_seconds = static_cast<double>(MmEntryNanos() - mm_ns0) * 1e-9;
   result.peak_os_bytes = allocator.peak_os_bytes();
   return result;
 }
@@ -440,8 +466,9 @@ TraceResult RunPsearchy(MmKind kind, AllocModel model, int threads, int files_pe
 namespace {
 TraceResult RunPsearchyOnce(MmKind kind, AllocModel model, int threads,
                             int files_per_thread) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
+  const uint64_t mm_ns0 = MmEntryNanos();
   TraceResult result;
   result.work_units = static_cast<uint64_t>(threads) * files_per_thread;
 
@@ -474,7 +501,7 @@ TraceResult RunPsearchyOnce(MmKind kind, AllocModel model, int threads,
     }
     allocator.Free(index, index_bytes);
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
+  result.kernel_seconds = static_cast<double>(MmEntryNanos() - mm_ns0) * 1e-9;
   result.peak_os_bytes = allocator.peak_os_bytes();
   return result;
 }
@@ -529,8 +556,9 @@ TraceResult RunParsecLike(MmKind kind, const std::string& app, int threads) {
 
 namespace {
 TraceResult RunParsecLikeOnce(MmKind kind, const std::string& app, int threads) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
+  const uint64_t mm_ns0 = MmEntryNanos();
   ParsecParams params = ParamsFor(app);
   TraceResult result;
   uint64_t pages = params.ws_bytes >> kPageBits;
@@ -552,7 +580,7 @@ TraceResult RunParsecLikeOnce(MmKind kind, const std::string& app, int threads) 
       }
     }
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
+  result.kernel_seconds = static_cast<double>(MmEntryNanos() - mm_ns0) * 1e-9;
   return result;
 }
 }  // namespace

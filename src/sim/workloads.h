@@ -60,15 +60,19 @@ const char* AllocModelName(AllocModel model);
 
 struct TraceResult {
   double seconds = 0;         // Wall time of the traced phase.
-  double kernel_seconds = 0;  // Time inside MM entry points (TimingMm).
+  // Time inside MM entry points, from the MmOp histograms (0 with telemetry
+  // compiled out).
+  double kernel_seconds = 0;
   uint64_t work_units = 0;    // Workload-specific unit (pages, items, files).
   uint64_t peak_os_bytes = 0; // Allocator-model OS footprint peak (fig 18).
 
   double throughput() const { return seconds > 0 ? work_units / seconds : 0; }
-  double user_seconds() const {
-    return seconds > kernel_seconds ? seconds - kernel_seconds : 0;
-  }
 };
+
+// The kernel-time share of |r| over |threads| workers as "NN%" (Figures 16
+// and 17), or "n/a" when telemetry, the source of kernel_seconds, is
+// compiled out.
+std::string KernelShare(const TraceResult& r, int threads);
 
 // JVM thread creation (Figure 16 left): N threads spawn concurrently, each
 // mmaps and faults its stack + TLS. Returns total latency (lower is better);

@@ -1,13 +1,16 @@
-// Compact NUMA-aware queue lock (Dice & Kogan, EuroSys'19), the CNA upgrade
-// of the MCS lock CortenMM_adv uses for its per-PT-page subtree locks and the
-// ring flat-combining drain. Like MCS, each waiter spins on its own queue
-// node; unlike MCS, the unlocker prefers handing off to the first waiter from
-// its OWN NUMA node, detaching the remote waiters it skips onto a *secondary
-// queue* that stays parked while the lock circulates within the node (the
-// cache line holding the lock state never crosses the socket interconnect).
-// A bounded batch count (kBatchBound consecutive same-node handoffs) flushes
-// the secondary queue back to the front of the main queue, so remote waiters
-// are delayed but never starved.
+// Compact NUMA-aware queue lock (Dice & Kogan, EuroSys'19): the MCS lock
+// (Mellor-Crummey & Scott) plus a secondary-queue policy. CortenMM_adv uses
+// it for its per-PT-page subtree locks (paper §4.5) and the ring
+// flat-combining drain. Like MCS, each waiter spins on its own queue node, so
+// contended acquisition generates no global cache traffic; when every waiter
+// is on one node it IS MCS, with FIFO handoff. Across nodes, the unlocker
+// prefers handing off to the first waiter from its OWN NUMA node, detaching
+// the remote waiters it skips onto a *secondary queue* that stays parked
+// while the lock circulates within the node (the cache line holding the lock
+// state never crosses the socket interconnect). A bounded batch count
+// (kBatchBound consecutive same-node handoffs) flushes the secondary queue
+// back to the front of the main queue, so remote waiters are delayed but
+// never starved.
 //
 // Node ownership: nodes MUST come from CnaNodePool (immortal storage). The
 // unlocker touches the successor's node *after* the grant store — the
@@ -17,15 +20,23 @@
 // straggling post-grant touch lands on valid (possibly recycled) memory,
 // where the worst outcome is a spurious wakeup the waiter's recheck absorbs.
 //
-// Weak-memory audit: the queue handoff edges are the same RMW/spin shapes as
-// MCS (TSO-safe, see mcs_lock.h). The NEW ordering obligation is the park/
-// wake protocol: the waiter stores `parked=1` then loads `spin`; the granter
-// stores `spin=grant` then loads `parked` (skipping the notify when it reads
-// 0). That is a store-buffering (SB) shape on BOTH sides — without the
-// seq_cst fences, TSO lets both loads read 0 and the wakeup is lost while
-// the waiter sleeps. Model-checked by MakeCnaHandoffLitmus
-// (src/verif/litmus_model.cc); CnaVariant::kNoFence keeps the TSO
-// counterexample as the regression.
+// Weak-memory audit, two obligations, both model-checked in
+// src/verif/litmus_model.cc:
+//   * The primary-queue handoff (Lock's tail exchange and prev->next link,
+//     Unlock's no-waiter CAS and grant store) is TSO-safe as written
+//     (MakeMcsHandoffLitmus). Every cross-thread ordering edge runs through
+//     an RMW or a spin that only exits once the releasing store is
+//     committed, so the store buffer cannot reorder anything observable. The
+//     tail exchange being a single RMW is the load-bearing ingredient:
+//     McsVariant::kNonAtomicTailSwap demotes it to a load-then-store and
+//     both threads enter the critical section (already under SC).
+//   * The park/wake protocol (MakeCnaHandoffLitmus): the waiter stores
+//     `parked=1` then loads `spin`; the granter stores `spin=grant` then
+//     loads `parked` (skipping the notify when it reads 0). That is a
+//     store-buffering (SB) shape on BOTH sides — without the seq_cst fences,
+//     TSO lets both loads read 0 and the wakeup is lost while the waiter
+//     sleeps. CnaVariant::kNoFence keeps the TSO counterexample as the
+//     regression.
 #ifndef SRC_SYNC_CNA_LOCK_H_
 #define SRC_SYNC_CNA_LOCK_H_
 

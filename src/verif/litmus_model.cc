@@ -542,13 +542,15 @@ std::unique_ptr<MemProgModel> MakeSeqCountLitmus(SeqCountVariant variant) {
   return model;
 }
 
-// --- MCS handoff -------------------------------------------------------------
+// --- CNA primary-queue (MCS) handoff ------------------------------------------
 
 std::unique_ptr<MemProgModel> MakeMcsHandoffLitmus(McsVariant variant) {
   // vars: tail, next[1], next[2], locked[1], locked[2], data. Thread t
   // (0-based) models queue node id t+1; with two threads the predecessor /
   // successor can only be the other node, so pointer chasing reduces to
-  // immediate indices.
+  // immediate indices. locked[i] models CnaNode::spin == 0 ("still
+  // waiting"); the grant store clears it. Two threads on one node never
+  // reach the secondary queue, so this is CnaLock's whole handoff for them.
   const int tail = 0, data = 5;
   auto next_of = [](int id) { return id; };        // next[1]=1, next[2]=2.
   auto locked_of = [](int id) { return id + 2; };  // locked[1]=3, locked[2]=4.
@@ -560,22 +562,22 @@ std::unique_ptr<MemProgModel> MakeMcsHandoffLitmus(McsVariant variant) {
     MemProgModel::ThreadScript t;
     if (variant == McsVariant::kAsWritten) {
       t.code = {
-          Instr::Store(next_of(id), 0, MO::kRelaxed),    //  0: node->next = null (mcs_lock.h Lock).
-          Instr::Store(locked_of(id), 1, MO::kRelaxed),  //  1: node->locked = true (mcs_lock.h Lock).
-          Instr::Exchange(0, tail, id, MO::kAcqRel),     //  2: tail.exchange (mcs_lock.h Lock).
+          Instr::Store(next_of(id), 0, MO::kRelaxed),    //  0: node->next = null (cna_lock.cc Lock).
+          Instr::Store(locked_of(id), 1, MO::kRelaxed),  //  1: node->spin = 0 (cna_lock.cc Lock).
+          Instr::Exchange(0, tail, id, MO::kAcqRel),     //  2: tail.exchange (cna_lock.cc Lock).
           Instr::BranchEq(0, 0, 7),                      //  3: uncontended -> CS.
-          Instr::Store(next_of(other), id, MO::kRelease),//  4: prev->next = node (mcs_lock.h Lock).
-          Instr::Load(1, locked_of(id), MO::kAcquire),   //  5: spin on own node (mcs_lock.h Lock).
+          Instr::Store(next_of(other), id, MO::kRelease),//  4: prev->next = node (cna_lock.cc Lock).
+          Instr::Load(1, locked_of(id), MO::kAcquire),   //  5: spin on own node (cna_lock.cc Lock).
           Instr::BranchEq(1, 1, 5),                      //  6
           Instr::Load(2, data, MO::kRelaxed),            //  7: CS: non-atomic increment —
           Instr::AddReg(2, 1),                           //  8: the lock is the only protection.
           Instr::StoreReg(data, 2, MO::kRelaxed),        //  9
-          Instr::Load(1, next_of(id), MO::kAcquire),     // 10: Unlock (mcs_lock.h Unlock).
+          Instr::Load(1, next_of(id), MO::kAcquire),     // 10: Unlock (cna_lock.cc Unlock).
           Instr::BranchNe(1, 0, 15),                     // 11: successor linked -> handoff.
-          Instr::Cas(1, tail, id, 0, MO::kAcqRel),       // 12: no waiter? (mcs_lock.h Unlock).
+          Instr::Cas(1, tail, id, 0, MO::kAcqRel),       // 12: no waiter? (cna_lock.cc Unlock).
           Instr::BranchEq(1, 1, 16),                     // 13: released.
           Instr::Goto(10),                               // 14: enqueuer mid-link: wait.
-          Instr::Store(locked_of(other), 0, MO::kRelease),  // 15: handoff (mcs_lock.h Unlock).
+          Instr::Store(locked_of(other), 0, MO::kRelease),  // 15: Grant (cna_lock.cc Unlock).
       };
       cs_begin = 7;
       cs_end = 9;

@@ -234,10 +234,12 @@ enum class SeqCountVariant {
 };
 std::unique_ptr<MemProgModel> MakeSeqCountLitmus(SeqCountVariant variant);
 
-// MCS lock handoff (src/sync/mcs_lock.h): two threads acquire, run a
-// non-atomic read-modify-write critical section on a shared counter, release
-// with the next-pointer handoff. Invariants: the critical sections never
-// overlap and no increment is lost (counter == 2 in every final state).
+// MCS handoff of CnaLock's primary queue (src/sync/cna_lock.cc Lock/Unlock;
+// two threads on one node, so no secondary queue): two threads acquire, run
+// a non-atomic read-modify-write critical section on a shared counter,
+// release with the next-pointer handoff. Invariants: the critical sections
+// never overlap and no increment is lost (counter == 2 in every final
+// state).
 enum class McsVariant {
   kAsWritten,  // tail exchange / next release / locked acquire-spin: passes.
   // Acquisition demoted from the atomic tail exchange to a non-atomic

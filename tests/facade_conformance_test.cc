@@ -9,7 +9,9 @@
 
 #include "src/core/backing.h"
 #include "src/fault/fault_inject.h"
+#include "src/obs/telemetry.h"
 #include "src/sim/bench_util.h"
+#include "src/sim/mmu.h"
 
 namespace cortenmm {
 namespace {
@@ -40,6 +42,39 @@ TEST_P(FacadeConformanceTest, CoreOpsWorkThroughTheFacade) {
   }
   EXPECT_TRUE(mm->Mprotect(*va, kLen, Perm::R()).ok());
   EXPECT_TRUE(mm->Munmap(*va, kLen).ok());
+}
+
+// The Figure 16/17 kernel/user split sums the MmOp histograms, so every
+// backend must record each facade entry point exactly once, on its outermost
+// call.
+TEST_P(FacadeConformanceTest, EntryPointsRecordOneOpSampleEach) {
+  if (!CORTENMM_TELEMETRY) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  std::unique_ptr<MmInterface> mm = MakeMm(GetParam());
+  const Telemetry& telemetry = Telemetry::Instance();
+  auto count = [&telemetry](MmOp op) {
+    return telemetry.MergedOp(op).TotalCount();
+  };
+  const uint64_t mmaps = count(MmOp::kMmap);
+  const uint64_t mprotects = count(MmOp::kMprotect);
+  const uint64_t munmaps = count(MmOp::kMunmap);
+  const uint64_t faults = count(MmOp::kFault);
+  const uint64_t fault_ns = telemetry.MergedOp(MmOp::kFault).sum_ns;
+
+  Result<Vaddr> va = mm->MmapAnon(kLen, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::Write(*mm, *va, 1).ok());
+  ASSERT_TRUE(mm->Mprotect(*va, kLen, Perm::R()).ok());
+  ASSERT_TRUE(mm->Munmap(*va, kLen).ok());
+
+  EXPECT_EQ(count(MmOp::kMmap), mmaps + 1);
+  EXPECT_EQ(count(MmOp::kMprotect), mprotects + 1);
+  EXPECT_EQ(count(MmOp::kMunmap), munmaps + 1);
+  if (mm->demand_paging()) {  // NrOS maps eagerly: its write never faults.
+    EXPECT_GE(count(MmOp::kFault), faults + 1);
+    EXPECT_GT(telemetry.MergedOp(MmOp::kFault).sum_ns, fault_ns);
+  }
 }
 
 TEST_P(FacadeConformanceTest, FileMappingsSupportedOrGated) {

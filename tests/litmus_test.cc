@@ -108,6 +108,7 @@ TEST_F(AsWrittenLitmusTest, SeqCountPublish) {
   ExpectPassesBothModels(*model);
 }
 
+// CnaLock's primary-queue handoff (cna_lock.cc Lock/Unlock), which is MCS.
 TEST_F(AsWrittenLitmusTest, McsHandoff) {
   auto model = MakeMcsHandoffLitmus(McsVariant::kAsWritten);
   ExpectPassesBothModels(*model);
@@ -152,6 +153,8 @@ TEST(BrokenVariantLitmusTest, SeqCountNonAtomicWriterIncrementTornRead) {
   EXPECT_FALSE(RunUnder(*model, MemModel::kTSO).ok);
 }
 
+// CnaLock's primary queue with Lock's tail exchange split into a load and a
+// store.
 TEST(BrokenVariantLitmusTest, McsNonAtomicTailSwapMutualExclusionLost) {
   auto model = MakeMcsHandoffLitmus(McsVariant::kNonAtomicTailSwap);
   ModelCheckResult sc = RunUnder(*model, MemModel::kSC);
