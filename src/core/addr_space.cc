@@ -440,24 +440,28 @@ void RCursor::RemoveChildTable(Pfn pt_page, int level, uint64_t index) {
   (void)detached;
   mem.Descriptor(pt_page).present_ptes.fetch_sub(1, std::memory_order_relaxed);
 
-  if (space_->options().protocol == Protocol::kAdv) {
-    // Mark stale + unlock, children before parents (reverse DFS, Fig. 6 L31),
-    // then hand the pages to the RCU monitor for deferred reclamation.
-    std::vector<std::pair<Pfn, int>> subtree;  // Post-order: children first.
-    pt.ForEachPtPagePostOrder(child, level - 1, [&subtree](Pfn pfn, int lvl) {
-      subtree.emplace_back(pfn, lvl);
-    });
-    for (const auto& [pfn, lvl] : subtree) {
+  std::vector<Pfn> subtree;  // Post-order: children first.
+  pt.ForEachPtPagePostOrder(child, level - 1,
+                            [&subtree](Pfn pfn, int) { subtree.push_back(pfn); });
+  bool adv = space_->options().protocol == Protocol::kAdv;
+  for (Pfn pfn : subtree) {
+    // Metadata leaves the space's account now: the free below (under kAdv,
+    // an RCU callback) no longer knows which space the page belonged to.
+    if (mem.Descriptor(pfn).meta.load(std::memory_order_acquire) != nullptr) {
+      space_->AddMetaBytes(-static_cast<int64_t>(sizeof(PteMetaArray)));
+    }
+    if (adv) {
+      // Mark stale + unlock, children before parents (reverse DFS, Fig. 6
+      // L31), then hand the page to the RCU monitor for deferred reclamation.
       mem.Descriptor(pfn).stale.store(true, std::memory_order_release);
       AdvUnlockAndForget(pfn);
       Rcu::Instance().Retire(reinterpret_cast<void*>(static_cast<uintptr_t>(pfn)),
                              &RcuFreePtPage);
+    } else {
+      // kRw: no traversal can be inside the subtree (it would hold a read
+      // lock on our write-locked covering page), so free immediately.
+      PageTable::FreePtPage(pfn);
     }
-  } else {
-    // kRw: no traversal can be inside the subtree (it would hold a read lock
-    // on our write-locked covering page), so free immediately.
-    pt.ForEachPtPagePostOrder(child, level - 1,
-                              [](Pfn pfn, int) { PageTable::FreePtPage(pfn); });
   }
 }
 

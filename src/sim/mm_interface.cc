@@ -1,6 +1,7 @@
 #include "src/sim/mm_interface.h"
 
 #include "src/ring/mm_ring.h"
+#include "src/tlb/shootdown.h"
 
 namespace cortenmm {
 
@@ -21,7 +22,15 @@ bool MmInterface::Submit(const MmSqe& sqe) { return ring().Submit(sqe); }
 
 bool MmInterface::Reap(MmCqe* out) { return ring().Reap(out); }
 
-void MmInterface::DrainBarrier() { ring().DrainBarrier(); }
+void MmInterface::DrainBarrier() {
+  ring().DrainBarrier();
+  // Kernel-exit analog: the CPU acknowledges the lazy shootdowns addressed to
+  // it before returning to the submitter. Without it a CPU that only submits
+  // never ticks (ticks otherwise come from MmuSim::Access), its LATR entries
+  // hold their dead frames forever, and a VA it re-maps can still hit a
+  // stale translation left by another CPU's drain.
+  TlbSystem::Instance().Tick(CurrentCpu());
+}
 
 // Reference semantics for every opcode: one synchronous facade call per op.
 // Backends that fuse (CortenMM) must be observably equivalent to this loop

@@ -104,7 +104,8 @@ class MmInterface {
   // Pops the oldest completion for the calling CPU; false when none is ready.
   virtual bool Reap(MmCqe* out);
   // Returns once every op the calling CPU submitted has a completion posted
-  // (this thread may become the flat-combining drainer for ALL CPUs).
+  // (this thread may become the flat-combining drainer for ALL CPUs), then
+  // pumps the calling CPU's lazy TLB shootdowns (TlbSystem::Tick).
   virtual void DrainBarrier();
   // Executes |n| ring ops and fills |n| completions (cqes[i].user_data is
   // pre-set; implementations must preserve it). The drain pass hands over

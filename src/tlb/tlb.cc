@@ -65,21 +65,24 @@ void Tlb::Insert(Asid asid, Vaddr va, uint64_t pte_raw, int level) {
   set[victim] = TlbEntry{true, asid, level, base, pte_raw, ++clock_};
 }
 
-void Tlb::InvalidateRange(Asid asid, VaRange range) {
-  SpinGuard guard(lock_);
-  for (auto& set : sets_) {
-    for (auto& entry : set) {
-      if (EntryIntersects(entry, asid, range)) {
-        entry.valid = false;
-      }
-    }
-  }
-}
+void Tlb::InvalidateRange(Asid asid, VaRange range) { InvalidateRanges(asid, &range, 1); }
 
 void Tlb::InvalidateRanges(Asid asid, const VaRange* ranges, size_t num_ranges) {
+  uint64_t set_mask = 1;  // Set 0: every 2M/1G entry.
+  uint64_t pages = 0;
+  for (size_t i = 0; i < num_ranges && pages < kSets; ++i) {
+    Vaddr last = AlignUp(ranges[i].end, kPageSize);
+    for (Vaddr page = AlignDown(ranges[i].start, kPageSize); page < last && pages < kSets;
+         page += kPageSize, ++pages) {
+      set_mask |= 1ull << SetOf(page);
+    }
+  }
+  if (pages >= kSets) {
+    set_mask = ~0ull >> (64 - kSets);  // At the ceiling: sweep every set.
+  }
   SpinGuard guard(lock_);
-  for (auto& set : sets_) {
-    for (auto& entry : set) {
+  for (; set_mask != 0; set_mask &= set_mask - 1) {
+    for (auto& entry : sets_[__builtin_ctzll(set_mask)]) {
       for (size_t i = 0; i < num_ranges; ++i) {
         if (EntryIntersects(entry, asid, ranges[i])) {
           entry.valid = false;

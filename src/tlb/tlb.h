@@ -37,9 +37,12 @@ class Tlb {
   void Insert(Asid asid, Vaddr va, uint64_t pte_raw, int level);
 
   void InvalidateRange(Asid asid, VaRange range);
-  // Invalidates every entry of |asid| intersecting any of |ranges| in one
-  // locked sweep — the per-target cost of a batched shootdown is one pass
-  // over the TLB regardless of how many ranges the batch carries.
+  // Invalidates every entry of |asid| intersecting any of |ranges| under one
+  // lock hold. Only the sets the batch can occupy are probed: set 0 (every
+  // 2M/1G entry) plus the set of each 4K page in the ranges. A batch of
+  // kSets pages or more touches every set anyway and sweeps the whole TLB
+  // (Linux's tlb_single_page_flush_ceiling trade), so the cost of a flush
+  // grows with the pages it covers, as invlpg's does, up to one full pass.
   void InvalidateRanges(Asid asid, const VaRange* ranges, size_t num_ranges);
   void InvalidateAsid(Asid asid);
   void InvalidateAll();
@@ -49,6 +52,11 @@ class Tlb {
 
  private:
   static int SetOf(Vaddr va) { return (va >> kPageBits) & (kSets - 1); }
+  // Entries are filed under the set of their base page. A 2M base is 512-page
+  // aligned (and a 1G base more so), so every huge entry lives in set 0.
+  static_assert((PtEntrySpan(2) >> kPageBits) % kSets == 0,
+                "huge entries must all index set 0");
+  static_assert(kSets <= 64, "InvalidateRanges keeps its set mask in one word");
 
   SpinLock lock_;
   TlbEntry sets_[kSets][kWays];

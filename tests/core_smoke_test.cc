@@ -193,6 +193,29 @@ TEST_P(CoreSmokeTest, FrameAccountingBalances) {
   (void)buddy;
 }
 
+// PT pages that munmap detaches take their metadata arrays out of the
+// space's MetaBytes() account, so the figure tracks live metadata instead of
+// growing with every map/unmap cycle. The first cycle leaves the array of the
+// upper PT page that held the region's marks: that page stays, and so does
+// its (now empty) array. From then on every cycle returns to the same value.
+TEST_P(CoreSmokeTest, MunmapReturnsMetadataBytes) {
+  constexpr uint64_t kLen = 4ull << 20;
+  CortenVm mm(MakeOptions());
+  auto cycle = [&](uint64_t before) {
+    Result<Vaddr> va = mm.MmapAnon(kLen, Perm::RW());
+    ASSERT_TRUE(va.ok());
+    ASSERT_TRUE(MmuSim::TouchRange(mm, *va, kLen, /*write=*/true).ok());
+    EXPECT_GT(mm.MetaBytes(), before);
+    ASSERT_TRUE(mm.Munmap(*va, kLen).ok());
+  };
+  cycle(mm.MetaBytes());
+  uint64_t before = mm.MetaBytes();
+  for (int i = 0; i < 3; ++i) {
+    cycle(before);
+    EXPECT_EQ(mm.MetaBytes(), before) << "cycle " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ProtocolsAndArchs, CoreSmokeTest,
     ::testing::Values(SmokeParam{Protocol::kRw, Arch::kX86_64},

@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/pmm/buddy.h"
 #include "src/ring/mm_ring.h"
 #include "src/sim/bench_util.h"
+#include "src/sim/mmu.h"
+#include "src/sync/rcu.h"
+#include "src/tlb/shootdown.h"
+#include "src/verif/wf_checker.h"
 
 namespace cortenmm {
 namespace {
@@ -355,6 +361,146 @@ INSTANTIATE_TEST_SUITE_P(AllManagers, RingFacadeTest,
                            }
                            return name;
                          });
+
+// --- LATR through the ring: DrainBarrier acknowledges lazy shootdowns ------
+
+// CortenMM-adv defers remote flushes (kLatr): a dead frame is freed only once
+// every target CPU has ticked. Submitters that never touch memory tick only
+// at the end of DrainBarrier, so these run without MmuSim access in between.
+class RingLatrTest : public ::testing::Test {
+ protected:
+  static constexpr int kThreads = 2;
+  static constexpr uint64_t kRegions = 8;
+  static constexpr uint64_t kPages = 4;
+  static constexpr uint64_t kRegionBytes = kPages * kPageSize;
+
+  void SetUp() override {
+    TlbSystem::Instance().DrainAll();
+    Rcu::Instance().DrainAll();
+    BuddyAllocator::Instance().FlushCpuCaches();
+    baseline_free_ = BuddyAllocator::Instance().FreeFrameCount();
+  }
+
+  // Every frame went back once the manager is gone.
+  void ExpectNoLeaks() {
+    LeakReport leaks = CheckFrameLeaks(baseline_free_);
+    EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
+  }
+
+  uint64_t baseline_free_ = 0;
+};
+
+// The storm shape (per region: mmap-fixed, 4 write faults, munmap, all in one
+// drain) from two bound submitters in lockstep. Every fault completes kOk and
+// the lazy entries do not pile up: each round's are acknowledged by the next
+// round's DrainBarrier on the other CPU.
+TEST_F(RingLatrTest, SubmitOnlyStormAcknowledgesLazyShootdowns) {
+  constexpr int kRounds = 200;
+  std::unique_ptr<MmInterface> mm = MakeMm(MmKind::kCortenAdv);
+  uint64_t pending_before = TlbSystem::Instance().pending_latr_entries();
+  std::atomic<uint64_t> faults{0};
+  std::atomic<uint64_t> not_ok{0};
+  std::barrier round_end(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      BindThisThreadToCpu(t);
+      const Vaddr base = (50ull + t) << 30;
+      for (int round = 0; round < kRounds; ++round) {
+        uint64_t cookie = 0;
+        for (uint64_t r = 0; r < kRegions; ++r) {
+          Vaddr va = base + r * 2 * kRegionBytes;
+          bool queued = mm->Submit(FixedMmapSqe(va, kRegionBytes, Perm::RW(), cookie++));
+          for (uint64_t p = 0; p < kPages; ++p) {
+            queued &= mm->Submit(FaultSqe(va + p * kPageSize, Access::kWrite,
+                                          (1ull << 63) | cookie++));
+          }
+          queued &= mm->Submit(MakeMunmapSqe(va, kRegionBytes, cookie++));
+          not_ok.fetch_add(!queued);
+        }
+        mm->DrainBarrier();
+        MmCqe cqe;
+        for (uint64_t n = 0; n < cookie; ++n) {
+          if (!mm->Reap(&cqe)) {
+            not_ok.fetch_add(1);
+            break;
+          }
+          faults.fetch_add(cqe.user_data >> 63);
+          not_ok.fetch_add(cqe.err != ErrCode::kOk);
+        }
+        round_end.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(faults.load(), uint64_t(kThreads) * kRounds * kRegions * kPages);
+  EXPECT_EQ(not_ok.load(), 0u);
+  // Only the last round's entries may still wait for a tick.
+  EXPECT_LE(TlbSystem::Instance().pending_latr_entries() - pending_before,
+            uint64_t(kThreads) * kRegions);
+  mm.reset();
+  ExpectNoLeaks();
+}
+
+// Two submitters re-map the same VAs of one shared 1 GiB subtree every round,
+// so one CPU's drain often unmaps the other's regions and leaves it a lazy
+// flush. A re-mapped, re-faulted page must read as the fresh zero page and
+// then as its new value, never through a stale translation to the old frame.
+TEST_F(RingLatrTest, SameVaRemapReadsNewValue) {
+  constexpr int kRounds = 200;
+  constexpr Vaddr kBase = 64ull << 30;
+  std::unique_ptr<MmInterface> mm = MakeMm(MmKind::kCortenAdv);
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      BindThisThreadToCpu(t);
+      auto region_va = [t](uint64_t r) { return kBase + (2 * r + t) * kRegionBytes; };
+      auto run_batch = [&](uint64_t cookies) {
+        mm->DrainBarrier();
+        MmCqe cqe;
+        for (uint64_t n = 0; n < cookies; ++n) {
+          failures.fetch_add(!mm->Reap(&cqe) || cqe.err != ErrCode::kOk);
+        }
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        uint64_t cookie = 0;
+        for (uint64_t r = 0; r < kRegions; ++r) {
+          mm->Submit(FixedMmapSqe(region_va(r), kRegionBytes, Perm::RW(), cookie++));
+          for (uint64_t p = 0; p < kPages; ++p) {
+            mm->Submit(FaultSqe(region_va(r) + p * kPageSize, Access::kWrite, cookie++));
+          }
+        }
+        run_batch(cookie);
+        for (uint64_t r = 0; r < kRegions; ++r) {
+          for (uint64_t p = 0; p < kPages; ++p) {
+            Vaddr va = region_va(r) + p * kPageSize;
+            uint64_t value = (uint64_t(round) << 32) | (uint64_t(t) << 16) | (r * kPages + p);
+            uint64_t fresh = ~0ull;
+            uint64_t back = 0;
+            bool ok = MmuSim::Read(*mm, va, &fresh).ok() && fresh == 0 &&
+                      MmuSim::Write(*mm, va, value).ok() &&
+                      MmuSim::Read(*mm, va, &back).ok() && back == value;
+            failures.fetch_add(!ok);
+          }
+        }
+        cookie = 0;
+        for (uint64_t r = 0; r < kRegions; ++r) {
+          mm->Submit(MakeMunmapSqe(region_va(r), kRegionBytes, cookie++));
+        }
+        run_batch(cookie);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  mm.reset();
+  ExpectNoLeaks();
+}
 
 }  // namespace
 }  // namespace cortenmm

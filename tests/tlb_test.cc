@@ -3,6 +3,11 @@
 // LATR's deferred frame reclamation.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
@@ -391,6 +396,209 @@ TEST_F(ShootdownTest, LatrLazyFlushesExactlyTargetsTimesEntries) {
   EXPECT_EQ(GlobalStats().Total(Counter::kTlbLazyFlushes) - lazy,
             2u * 2u);  // 2 targets x 2 entries.
   EXPECT_EQ(TlbSystem::Instance().pending_latr_entries(), pending);
+}
+
+// ---------------------------------------------------------------------------
+// Set-indexed invalidation
+// ---------------------------------------------------------------------------
+
+// One cached translation, keyed the way Insert files it.
+struct CachedKey {
+  Asid asid;
+  Vaddr base;
+  int level;
+  friend bool operator<(const CachedKey& a, const CachedKey& b) {
+    return std::tie(a.asid, a.base, a.level) < std::tie(b.asid, b.base, b.level);
+  }
+};
+
+bool StillCached(Tlb& tlb, const CachedKey& key) {
+  auto hit = tlb.Lookup(key.asid, key.base);
+  return hit.has_value() && hit->va_base == key.base && hit->level == key.level;
+}
+
+// Disjoint windows per level, so no two live translations of one ASID
+// overlap and Lookup(base) finds exactly the entry filed under |base|.
+constexpr Vaddr k4kWindow = 1ull << 30;   // 1024 pages: every set, many evictions.
+constexpr uint64_t k4kPages = 1024;
+constexpr Vaddr k2mWindow = 8ull << 30;   // 64 slots of 2 MiB.
+constexpr uint64_t k2mSlots = 64;
+constexpr Vaddr k1gWindow = 64ull << 30;  // 8 slots of 1 GiB.
+constexpr uint64_t k1gSlots = 8;
+
+CachedKey RandomKey(Rng& rng) {
+  Asid asid = static_cast<Asid>(1 + rng.Below(2));
+  uint64_t kind = rng.Below(20);
+  if (kind == 0) {
+    return {asid, k2mWindow + rng.Below(k2mSlots) * PtEntrySpan(2), 2};
+  }
+  if (kind == 1) {
+    return {asid, k1gWindow + rng.Below(k1gSlots) * PtEntrySpan(3), 3};
+  }
+  return {asid, k4kWindow + rng.Below(k4kPages) * kPageSize, 1};
+}
+
+// A range of |pages| pages starting in one of the windows: anywhere among the
+// 4K entries, at a set-63 page so it wraps to set 0, or inside a huge entry.
+// Some start or end mid-page.
+VaRange RandomRange(Rng& rng, uint64_t pages) {
+  Vaddr start;
+  switch (rng.Below(4)) {
+    case 0:
+      start = k4kWindow + rng.Below(k4kPages) * kPageSize;
+      break;
+    case 1:
+      start = k4kWindow + (rng.Below(k4kPages / Tlb::kSets) * Tlb::kSets +
+                           (Tlb::kSets - 1)) * kPageSize;
+      break;
+    case 2:
+      start = k2mWindow + rng.Below(k2mSlots) * PtEntrySpan(2) + rng.Range(1, 400) * kPageSize;
+      break;
+    default:
+      start = k1gWindow + rng.Below(k1gSlots) * PtEntrySpan(3) +
+              rng.Range(1, 200000) * kPageSize;
+      break;
+  }
+  Vaddr end = start + pages * kPageSize;
+  if (rng.Chance(1, 8)) {
+    end -= 8 * rng.Range(1, kPageSize / 8);  // Ends mid-page.
+  }
+  if (pages > 1 && rng.Chance(1, 8)) {
+    start += 8 * rng.Below(kPageSize / 8);  // Starts mid-page.
+  }
+  return VaRange(start, end);
+}
+
+// Splits |total| pages into |parts| positive shares.
+std::vector<uint64_t> SplitPages(Rng& rng, uint64_t total, uint64_t parts) {
+  std::vector<uint64_t> shares(parts, 1);
+  for (uint64_t left = total - parts; left > 0; --left) {
+    ++shares[rng.Below(parts)];
+  }
+  return shares;
+}
+
+// Probing only the sets a batch can occupy must kill exactly what a sweep of
+// every entry against every range kills, on both sides of the kSets-page
+// ceiling, for wrapping ranges and for ranges inside huge entries.
+TEST(TlbTest, SetIndexedInvalidationMatchesFullSweep) {
+  Rng rng(0x7e57);
+  uint64_t killed[4] = {};
+  uint64_t kept[4] = {};
+  for (int trial = 0; trial < 600; ++trial) {
+    Tlb tlb;
+    std::set<CachedKey> inserted;
+    for (int i = 0; i < 400; ++i) {
+      CachedKey key = RandomKey(rng);
+      tlb.Insert(key.asid, key.base, LeafRaw(i + 1), key.level);
+      inserted.insert(key);
+    }
+    std::vector<CachedKey> cached;
+    for (const CachedKey& key : inserted) {
+      if (StillCached(tlb, key)) {
+        cached.push_back(key);
+      }
+    }
+
+    // Below, at and above the ceiling, in turn.
+    uint64_t parts = rng.Range(1, 17);
+    uint64_t total = 0;
+    switch (trial % 3) {
+      case 0:
+        total = rng.Range(parts, Tlb::kSets);
+        break;
+      case 1:
+        total = Tlb::kSets;
+        break;
+      default:
+        total = rng.Range(Tlb::kSets + 1, 4 * Tlb::kSets);
+        break;
+    }
+    std::vector<VaRange> ranges;
+    for (uint64_t pages : SplitPages(rng, total, parts)) {
+      ranges.push_back(RandomRange(rng, pages));
+    }
+    Asid target = static_cast<Asid>(1 + rng.Below(2));
+    tlb.InvalidateRanges(target, ranges.data(), ranges.size());
+
+    for (const CachedKey& key : cached) {
+      bool hit = false;
+      VaRange span(key.base, key.base + PtEntrySpan(key.level));
+      for (const VaRange& range : ranges) {
+        hit |= span.Overlaps(range);
+      }
+      bool expect_kept = key.asid != target || !hit;
+      ASSERT_EQ(StillCached(tlb, key), expect_kept)
+          << "trial " << trial << " asid " << key.asid << " base " << std::hex << key.base
+          << " level " << key.level;
+      ++(expect_kept ? kept : killed)[key.level];
+    }
+  }
+  // The fill and the ranges reached every kind of entry on both sides.
+  for (int level = 1; level <= 3; ++level) {
+    EXPECT_GT(killed[level], 0u) << level;
+    EXPECT_GT(kept[level], 0u) << level;
+  }
+}
+
+// The same rule through every shootdown policy: a one-page batch kills the
+// 4K entry of its page, or the huge entry around it, and nothing else.
+TEST(TlbTest, SetIndexedOnePageShootdownUnderEveryPolicy) {
+  BindThisThreadToCpu(0);
+  const std::vector<CpuId> cpus = {0, 2, 3};
+  CpuMask mask;
+  for (CpuId cpu : cpus) {
+    mask.Set(cpu);
+  }
+  Asid asid = 960;
+  Asid other = 961;
+  for (TlbPolicy policy : {TlbPolicy::kSync, TlbPolicy::kEarlyAck, TlbPolicy::kLatr}) {
+    for (bool inside_huge : {false, true}) {
+      Vaddr base = inside_huge ? 0x70000000 : 0x70400000;  // Both 2 MiB aligned.
+      Vaddr page = base + (Tlb::kSets + 5) * kPageSize;
+      std::vector<CachedKey> dies;
+      std::vector<CachedKey> lives = {
+          {asid, 0x70800000, 2},                    // Another huge entry in set 0.
+          {asid, 0x70c00000 + 5 * kPageSize, 1},    // Same set as |page|.
+          {other, 0x70c00000 + 6 * kPageSize, 1},   // Next set, other ASID.
+      };
+      if (inside_huge) {
+        dies.push_back({asid, base, 2});
+        lives.push_back({other, base, 2});
+      } else {
+        dies.push_back({asid, page, 1});
+        lives.push_back({asid, page + kPageSize, 1});  // Next set.
+        lives.push_back({other, page, 1});
+      }
+      for (CpuId cpu : cpus) {
+        Tlb& tlb = TlbSystem::Instance().CpuTlb(cpu);
+        tlb.InvalidateAll();
+        for (const std::vector<CachedKey>* keys : {&dies, &lives}) {
+          for (const CachedKey& key : *keys) {
+            tlb.Insert(key.asid, key.base, LeafRaw(9), key.level);
+          }
+        }
+      }
+      VaRange range(page, page + kPageSize);
+      TlbSystem::Instance().ShootdownBatch(asid, &range, 1, /*full_asid=*/false, mask,
+                                           policy, {}, nullptr);
+      if (policy == TlbPolicy::kLatr) {
+        TlbSystem::Instance().Tick(2);
+        TlbSystem::Instance().Tick(3);
+      }
+      for (CpuId cpu : cpus) {
+        Tlb& tlb = TlbSystem::Instance().CpuTlb(cpu);
+        for (const CachedKey& key : dies) {
+          EXPECT_FALSE(StillCached(tlb, key))
+              << TlbPolicyName(policy) << " cpu " << cpu << " huge " << inside_huge;
+        }
+        for (const CachedKey& key : lives) {
+          EXPECT_TRUE(StillCached(tlb, key)) << TlbPolicyName(policy) << " cpu " << cpu
+                                             << " base " << std::hex << key.base;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
