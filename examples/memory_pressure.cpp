@@ -41,7 +41,7 @@ int main() {
       MmuSim::Write(mm, *va + p * kPageSize, (uint64_t{0xcafe} << 32) | (s << 16) | p);
     }
     // kswapd policy: when over budget, swap out the coldest (oldest) segment.
-    while (mm.vm().ResidentPages() > kResidentBudgetPages) {
+    while (mm.vm().addr_space().ResidentPagesFast() > kResidentBudgetPages) {
       static int next_victim = 0;
       Result<uint64_t> evicted =
           mm.SwapOut(segments[next_victim], kSegmentPages * kPageSize);
@@ -53,7 +53,7 @@ int main() {
   }
 
   std::printf("\nresident: %llu pages; swap device holds %llu blocks\n",
-              static_cast<unsigned long long>(mm.vm().ResidentPages()),
+              static_cast<unsigned long long>(mm.vm().addr_space().ResidentPagesFast()),
               static_cast<unsigned long long>(SwapDevice::Instance().blocks_in_use()));
 
   // Random-access verification: every word of every segment must read back

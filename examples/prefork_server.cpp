@@ -23,7 +23,8 @@ namespace {
 
 // fork() is a first-class MmInterface operation, so the example drives
 // everything through the facade; CortenVm is only named to construct the
-// parent (and to read ResidentPages, a CortenMM-specific accounting hook).
+// parent (and to read its resident-page counter, a CortenMM-specific
+// accounting hook).
 std::unique_ptr<CortenVm> MakeParent() {
   AddrSpace::Options options;
   options.protocol = Protocol::kAdv;
@@ -59,7 +60,7 @@ int main() {
     MmuSim::Write(*parent, *heap + p * kPageSize, 0xc0ffee00 + p);
   }
   std::printf("parent resident pages: %llu (heap %llu + config %llu)\n",
-              static_cast<unsigned long long>(parent->vm().ResidentPages()),
+              static_cast<unsigned long long>(parent->vm().addr_space().ResidentPagesFast()),
               static_cast<unsigned long long>(kHeapPages),
               static_cast<unsigned long long>(kConfigPages));
 

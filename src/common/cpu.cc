@@ -20,7 +20,7 @@ void NoteCpu(CpuId cpu) {
 
 namespace cpu_detail {
 
-thread_local CpuId tls_cpu = -1;
+thread_local constinit CpuId tls_cpu = -1;
 
 CpuId AssignAutoCpu() {
   CpuId cpu = g_next_auto_cpu.fetch_add(1, std::memory_order_relaxed) % kMaxCpus;

@@ -20,7 +20,9 @@ using CpuId = int;
 void BindThisThreadToCpu(CpuId cpu);
 
 namespace cpu_detail {
-extern thread_local CpuId tls_cpu;  // -1 until bound or auto-assigned.
+// -1 until bound or auto-assigned. constinit: reads skip GCC's TLS init
+// wrapper, which UBSan reported as a null-pointer load.
+extern thread_local constinit CpuId tls_cpu;
 CpuId AssignAutoCpu();
 }  // namespace cpu_detail
 

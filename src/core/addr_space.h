@@ -71,8 +71,9 @@ class RCursor {
   Status Query(Vaddr addr);
 
   // Maps physical frame |pfn| at |addr| with |perm| (4 KiB leaf). Any prior
-  // virtually-allocated mark on the page is consumed. Increments the frame's
-  // mapcount and records the reverse mapping.
+  // virtually-allocated mark on the page is consumed (a Swapped mark's block
+  // reference with it). Increments the frame's mapcount and records the
+  // reverse mapping.
   VoidResult Map(Vaddr addr, Pfn pfn, Perm perm);
 
   // Maps a naturally-aligned huge leaf (level 2 = 2 MiB, level 3 = 1 GiB).
@@ -81,32 +82,32 @@ class RCursor {
   // Sets every page in |sub| to the virtually-allocated |status| (which must
   // not be kMapped). Large aligned spans are represented by a single mark on
   // an upper-level slot (§3.3's on-demand PTE creation). Existing mappings in
-  // |sub| are unmapped first. Marking kInvalid erases marks only.
+  // |sub| are unmapped first and overwritten Swapped marks give their blocks
+  // back. Marking kInvalid erases marks only. A Swapped |status| takes over
+  // the caller's block references.
   VoidResult Mark(VaRange sub, const Status& status);
 
-  // Unmaps |sub|: clears leaf PTEs and metadata marks, removes fully-covered
-  // PT pages (stale + RCU-retire under kAdv), and queues the frames whose
-  // last mapping died for reclamation after the TLB shootdown.
+  // Unmaps |sub|: clears leaf PTEs and metadata marks (releasing the blocks of
+  // Swapped marks), removes fully-covered PT pages (stale + RCU-retire under
+  // kAdv), and queues the frames whose last mapping died for reclamation
+  // after the TLB shootdown.
   VoidResult Unmap(VaRange sub);
 
   // Extension: rewrites permissions of every mapped page and every mark in
   // |sub|. COW marks are preserved (hardware write stays off for COW pages).
   VoidResult Protect(VaRange sub, Perm perm);
 
-  // Pre-materializes every PT page a subsequent Mark/Unmap/Protect over |sub|
-  // could need (splitting huge leaves and pushing marks down along the
-  // partially-covered boundary) without changing the virtual-memory contents
-  // of any page — EnsureChild is semantics-preserving. After Prepare succeeds,
-  // those operations over |sub| cannot hit kNoMem, which is what makes them
-  // all-or-nothing: Mark/Unmap/Protect run it internally before mutating
-  // anything, and callers that must order side effects before the mutation
-  // (e.g. dropping swap-block refs before a MAP_FIXED replacement) call it
-  // explicitly first. |for_marks| additionally materializes children of
-  // absent unmarked boundary slots, which a non-invalid Mark writes into.
-  // On kNoMem the address space is unchanged except for extra (empty or
-  // equivalently-marked) PT pages, which every operation treats identically.
-  // Callers are expected to have validated |sub| (the destructive ops do so
-  // before calling); the fast path below deliberately skips re-validation.
+  // Pre-materializes every PT page a Mark/Unmap/Protect over |sub| could
+  // allocate (splitting huge leaves and pushing marks down along the partially
+  // covered boundary) without changing what any page maps — EnsureChild is
+  // semantics-preserving. Afterwards those ops over |sub| cannot hit kNoMem;
+  // they run it first themselves, which makes them all-or-nothing. It is
+  // public for callers that must commit an outside side effect only once the
+  // op can no longer fail: SwapOut writes the swap block between Prepare and
+  // its Swapped Mark. |for_marks| also materializes children of absent
+  // unmarked boundary slots, which a non-invalid Mark writes into. On kNoMem
+  // the space is unchanged except for extra (empty or equivalently-marked) PT
+  // pages. Callers validate |sub| first; the fast path skips re-validation.
   VoidResult Prepare(VaRange sub, bool for_marks) {
     // A leaf-level covering page can never allocate: every page-aligned slot
     // under it is fully covered, so the destructive walk only rewrites PTEs
@@ -172,6 +173,8 @@ class RCursor {
   PteMetaArray* MetaArrayOf(Pfn pt_page, bool create);
   PteMeta LoadMeta(Pfn pt_page, uint64_t index);
   void StoreMeta(Pfn pt_page, uint64_t index, const PteMeta& meta);
+  // Erases a mark, dropping the swap-block refs a Swapped mark holds (I4).
+  void ClearMark(Pfn pt_page, int level, uint64_t index);
 
   // Ensures the slot |index| of |pt_page| (level |level| > 1) holds a child
   // table, pushing down any metadata mark or splitting any huge leaf.

@@ -82,23 +82,6 @@ Result<Pfn> SimFile::GetPage(uint32_t page_index) {
   return *frame;
 }
 
-void SimFile::EvictPage(uint32_t page_index) {
-  Pfn victim = kInvalidPfn;
-  {
-    SpinGuard guard(lock_);
-    auto it = cache_.find(page_index);
-    if (it == cache_.end()) {
-      return;
-    }
-    victim = it->second;
-    cache_.erase(it);
-  }
-  PageDescriptor& desc = PhysMem::Instance().Descriptor(victim);
-  if (desc.refcount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    BuddyAllocator::Instance().FreeFrame(victim);
-  }
-}
-
 void SimFile::AddMapping(const FileMapping& mapping) {
   SpinGuard guard(lock_);
   mappings_.push_back(mapping);

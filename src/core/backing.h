@@ -52,9 +52,6 @@ class SimFile {
   // frame holds the cache's reference; mappers must AddFrameRef their own.
   Result<Pfn> GetPage(uint32_t page_index);
 
-  // Drops a cached page (testing / reclaim).
-  void EvictPage(uint32_t page_index);
-
   // Reverse-mapping bookkeeping.
   void AddMapping(const FileMapping& mapping);
   void RemoveMappings(AddrSpace* space, Vaddr va_base);

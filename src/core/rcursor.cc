@@ -8,6 +8,9 @@
 //   I2. A metadata mark occupies only *absent* slots; linking a child under a
 //       marked slot pushes the mark down into the child first.
 //   I3. present_ptes of a PT page counts its present slots.
+//   I4. A Swapped mark holds one swap-block reference per page it covers:
+//       CloneSubtree adds them, ClearMark drops them wherever a mark is erased
+//       or overwritten, and PushDownMark moves them with the mark.
 #include <cassert>
 
 #include "src/common/stats.h"
@@ -50,6 +53,20 @@ void RCursor::StoreMeta(Pfn pt_page, uint64_t index, const PteMeta& meta) {
     return;  // Clearing a mark that does not exist.
   }
   MetaArrayOf(pt_page, /*create=*/true)->entries[index] = meta;
+}
+
+void RCursor::ClearMark(Pfn pt_page, int level, uint64_t index) {
+  PteMetaArray* marks = MetaArrayOf(pt_page, /*create=*/false);
+  if (marks == nullptr) {
+    return;
+  }
+  PteMeta& meta = marks->entries[index];
+  if (static_cast<StatusTag>(meta.tag) == StatusTag::kSwapped) {
+    for (uint64_t p = 0; p < LeafFrames(level); ++p) {
+      SwapDevice::Instance().DropBlockRef(meta.aux32 + static_cast<uint32_t>(p));
+    }
+  }
+  meta.Clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +270,7 @@ VoidResult RCursor::MapHuge(Vaddr addr, Pfn pfn, Perm perm, int level) {
       RemoveChildTable(page, level, index);
     }
   }
-  StoreMeta(page, index, PteMeta{});
+  ClearMark(page, level, index);
   pt.StoreEntry(page, index, MakeLeafPte(pt.arch(), pfn, perm, level));
   mem.Descriptor(page).present_ptes.fetch_add(1, std::memory_order_relaxed);
   uint64_t frames = LeafFrames(level);
@@ -387,7 +404,7 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
     bool leaf = present && PteIsLeaf(pt.arch(), pte, level);
     if (inter == entry_range) {
       // Slot fully covered: drop whatever is here.
-      StoreMeta(pt_page, i, PteMeta{});
+      ClearMark(pt_page, level, i);
       if (leaf) {
         ClearLeaf(pt_page, level, i, entry_va);
       } else if (present) {
@@ -404,7 +421,7 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
     if (!child.ok()) {
       // Out of memory while splitting: drop the whole slot instead. This
       // over-unmaps but never leaks or corrupts (kernel OOM-path tradeoff).
-      StoreMeta(pt_page, i, PteMeta{});
+      ClearMark(pt_page, level, i);
       if (leaf) {
         ClearLeaf(pt_page, level, i, entry_va);
       }
@@ -457,9 +474,8 @@ VoidResult RCursor::MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
         UnmapIn(PtePfn(pt.arch(), pte), level - 1, entry_va, entry_range);
         RemoveChildTable(pt_page, level, i);
       }
-      if (status.invalid()) {
-        StoreMeta(pt_page, i, PteMeta{});
-      } else {
+      ClearMark(pt_page, level, i);
+      if (!status.invalid()) {
         StoreMeta(pt_page, i,
                   EncodeMeta(OffsetStatus(status, (entry_va - sub.start) >> kPageBits)));
       }

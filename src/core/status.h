@@ -21,8 +21,6 @@ enum class StatusTag : uint8_t {
   kSwapped,             // Contents on a swap block device.
 };
 
-const char* StatusTagName(StatusTag tag);
-
 struct Status {
   StatusTag tag = StatusTag::kInvalid;
   Perm perm;

@@ -14,31 +14,16 @@
 namespace cortenmm {
 namespace {
 
-// Allocates an anonymous data frame destined for a mapping at |va|. The
-// allocator resets the descriptor directly to kAnon (one reset, not
-// kKernel-then-anon). The reverse-mapping hint is NOT recorded here:
-// Map/MapHuge writes owner/owner_key under the rmap lock when the frame is
-// installed, and until then the frame has mapcount 0, which excludes it from
-// every rmap consumer (the reclaim clock requires mapcount == 1).
-Result<Pfn> AllocAnonFrame(AddrSpace* space, Vaddr va, bool zeroed) {
-  (void)space;
-  (void)va;
+// Allocates an anonymous data frame destined for a mapping. The allocator
+// resets the descriptor directly to kAnon (one reset, not kKernel-then-anon).
+// The reverse-mapping hint is NOT recorded here: Map/MapHuge writes
+// owner/owner_key under the rmap lock when the frame is installed, and until
+// then the frame has mapcount 0, which excludes it from every rmap consumer
+// (the reclaim clock requires mapcount == 1).
+Result<Pfn> AllocAnonFrame(bool zeroed) {
   BuddyAllocator& buddy = BuddyAllocator::Instance();
   return zeroed ? buddy.AllocZeroedFrame(FrameType::kAnon)
                 : buddy.AllocFrame(FrameType::kAnon);
-}
-
-// Releases the swap blocks referenced by Swapped marks in |range|; called
-// before any operation that overwrites marks wholesale (munmap, MAP_FIXED
-// replacement, teardown).
-void DropSwapRefs(RCursor& cursor, VaRange range) {
-  cursor.ForEachStatus(range, [](VaRange run, const Status& status) {
-    if (status.tag == StatusTag::kSwapped) {
-      for (uint64_t p = 0; p < run.num_pages(); ++p) {
-        SwapDevice::Instance().DropBlockRef(status.page_offset + static_cast<uint32_t>(p));
-      }
-    }
-  });
 }
 
 }  // namespace
@@ -65,18 +50,14 @@ Result<std::unique_ptr<VmSpace>> VmSpace::Create(const AddrSpace::Options& optio
 }
 
 VmSpace::~VmSpace() {
-  // Deregister from the reclaim tenant registry FIRST — before the teardown
-  // transaction below takes the whole-space lock. The governor waits out any
-  // in-flight reclaimer pinning this space; doing that while holding the
-  // whole-space cursor would deadlock against a reclaimer blocked on it.
+  // Deregister from the reclaim tenant registry FIRST — before ~AddrSpace's
+  // teardown transaction takes the whole-space lock. The governor waits out
+  // any in-flight reclaimer pinning this space; doing that while holding the
+  // whole-space cursor would deadlock against a reclaimer blocked on it. The
+  // teardown Unmap also releases the swap blocks of any Swapped marks.
   if (MemPressureGovernor* governor = PressureGovernor()) {
     governor->OnSpaceDestroying(this);
   }
-  // Release swap blocks still referenced by marks; the AddrSpace destructor
-  // then tears down the page table itself through the transactional interface.
-  VaRange everything(0, kVaLimit);
-  RCursor cursor = space_.Lock(everything);
-  DropSwapRefs(cursor, everything);
 }
 
 // ---------------------------------------------------------------------------
@@ -109,17 +90,9 @@ VoidResult VmSpace::MmapAnonAt(Vaddr va, uint64_t len, Perm perm) {
   }
   len = AlignUp(len, kPageSize);
   VaRange range(va, va + len);
-  RCursor cursor = space_.Lock(range);
-  // Reserve every PT page the replacement could need *before* the destructive
-  // pass: DropSwapRefs consumes block references, so it must not run while the
-  // replacement can still fail. After Prepare, Mark cannot hit kNoMem.
-  VoidResult reserved = cursor.Prepare(range, /*for_marks=*/true);
-  if (!reserved.ok()) {
-    return reserved;
-  }
   // MAP_FIXED semantics: whatever was there is replaced atomically — swapped
   // pages being replaced give their blocks back.
-  DropSwapRefs(cursor, range);
+  RCursor cursor = space_.Lock(range);
   return cursor.Mark(range, Status::PrivateAnon(perm));
 }
 
@@ -181,15 +154,9 @@ VoidResult VmSpace::Munmap(Vaddr va, uint64_t len) {
   len = AlignUp(len, kPageSize);
   VaRange range(va, va + len);
   {
-    // Figure 8, do_syscall_munmap: one transaction, one Unmap. Reserve the
-    // boundary splits first so block references are only dropped once the
-    // unmap is guaranteed to go through.
+    // Figure 8, do_syscall_munmap: one transaction, one Unmap (swapped pages
+    // lose their blocks with their marks).
     RCursor cursor = space_.Lock(range);
-    VoidResult reserved = cursor.Prepare(range, /*for_marks=*/false);
-    if (!reserved.ok()) {
-      return reserved;
-    }
-    DropSwapRefs(cursor, range);  // Swapped pages lose their blocks.
     VoidResult r = cursor.Unmap(range);
     if (!r.ok()) {
       return r;
@@ -251,7 +218,7 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
           (access == Access::kExec && !status.perm.exec())) {
         return ErrCode::kFault;
       }
-      Result<Pfn> frame = AllocAnonFrame(&space_, page_va, /*zeroed=*/true);
+      Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/true);
       if (!frame.ok()) {
         return frame.error();
       }
@@ -280,7 +247,7 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
           return ErrCode::kFault;
         }
         // Private write: copy the cache page into an exclusive anon frame.
-        Result<Pfn> frame = AllocAnonFrame(&space_, page_va, /*zeroed=*/false);
+        Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/false);
         if (!frame.ok()) {
           return frame.error();
         }
@@ -322,7 +289,7 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
     }
 
     case StatusTag::kSwapped: {
-      Result<Pfn> frame = AllocAnonFrame(&space_, page_va, /*zeroed=*/false);
+      Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/false);
       if (!frame.ok()) {
         return frame.error();
       }
@@ -333,16 +300,13 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
         FaultInjector::NoteRolledBack();
         return read;
       }
+      // Map consumes the Swapped mark and the block reference it carried; a
+      // failed map leaves both in place.
       VoidResult mapped = cursor.Map(page_va, *frame, status.perm);
       if (!mapped.ok()) {
         DropFrameRef(*frame);
         FaultInjector::NoteRolledBack();
-        return mapped;
       }
-      // The Swapped mark was consumed by the map; only now is it safe to give
-      // up the block reference it carried (dropping earlier would double-free
-      // the block if the map failed and the mark survived).
-      SwapDevice::Instance().DropBlockRef(status.page_offset);
       return mapped;
     }
 
@@ -510,7 +474,7 @@ uint64_t VmSpace::FaultAround(RCursor& cursor, Vaddr fault_va, const Status& sta
       (is_above ? above_open : below_open) = false;
       continue;
     }
-    Result<Pfn> frame = AllocAnonFrame(&space_, va, /*zeroed=*/true);
+    Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/true);
     if (!frame.ok()) {
       FaultInjector::NoteSurvived();  // Speculation ends; the fault succeeded.
       break;
@@ -565,7 +529,7 @@ VoidResult VmSpace::HandleFaultLocked(RCursor& cursor, Vaddr page_va, Access acc
         return cursor.SetLeafPerm(page_va, p);
       }
       // Shared: copy into an exclusive frame.
-      Result<Pfn> copy = AllocAnonFrame(&space_, page_va, /*zeroed=*/false);
+      Result<Pfn> copy = AllocAnonFrame(/*zeroed=*/false);
       if (!copy.ok()) {
         return copy.error();
       }
@@ -689,52 +653,23 @@ bool VmSpace::TryExecuteFused(const MmSqe* sqes, MmCqe* cqes, size_t n) {
       cqe.count = 0;
       VaRange range(sqe.va, sqe.va + AlignUp(sqe.len, kPageSize));
       switch (sqe.op) {
-        case MmOpCode::kMmapAnonFixed: {
-          // MAP_FIXED replacement, same reserve-then-replace discipline as
-          // MmapAnonAt: after Prepare, the Mark cannot fail.
-          VoidResult reserved = cursor->Prepare(range, /*for_marks=*/true);
-          if (!reserved.ok()) {
-            cqe.err = reserved.error();
-            break;
-          }
-          DropSwapRefs(*cursor, range);
-          VoidResult r = cursor->Mark(range, Status::PrivateAnon(sqe.perm));
-          if (r.ok()) {
-            cqe.va = sqe.va;
-          } else {
-            cqe.err = r.error();
-          }
+        case MmOpCode::kMmapAnonFixed:
+          cqe.err = cursor->Mark(range, Status::PrivateAnon(sqe.perm)).error();
+          cqe.va = cqe.err == ErrCode::kOk ? sqe.va : 0;
           break;
-        }
-        case MmOpCode::kMunmap: {
-          VoidResult reserved = cursor->Prepare(range, /*for_marks=*/false);
-          if (!reserved.ok()) {
-            cqe.err = reserved.error();
-            break;
-          }
-          DropSwapRefs(*cursor, range);
-          VoidResult r = cursor->Unmap(range);
-          if (r.ok()) {
+        case MmOpCode::kMunmap:
+          cqe.err = cursor->Unmap(range).error();
+          if (cqe.err == ErrCode::kOk) {
             deferred_frees.push_back(range);
-          } else {
-            cqe.err = r.error();
           }
           break;
-        }
-        case MmOpCode::kMprotect: {
-          VoidResult r = cursor->Protect(range, sqe.perm);
-          if (!r.ok()) {
-            cqe.err = r.error();
-          }
+        case MmOpCode::kMprotect:
+          cqe.err = cursor->Protect(range, sqe.perm).error();
           break;
-        }
         case MmOpCode::kFault: {
           ScopedOpTimer telemetry_timer(MmOp::kFault);
-          VoidResult r =
-              HandleFaultLocked(*cursor, AlignDown(sqe.va, kPageSize), sqe.access);
-          if (!r.ok()) {
-            cqe.err = r.error();
-          }
+          cqe.err =
+              HandleFaultLocked(*cursor, AlignDown(sqe.va, kPageSize), sqe.access).error();
           break;
         }
         default:
@@ -790,7 +725,7 @@ Result<uint64_t> VmSpace::SwapOut(Vaddr va, uint64_t len) {
   for (const Victim& victim : victims) {
     VaRange page(victim.va, victim.va + kPageSize);
     // Reserve the boundary splits before committing anything: once the swap
-    // block is written, the unmap + mark below must not be able to fail.
+    // block is written, the mark below must not be able to fail.
     if (!cursor.Prepare(page, /*for_marks=*/true).ok()) {
       break;
     }
@@ -803,7 +738,7 @@ Result<uint64_t> VmSpace::SwapOut(Vaddr va, uint64_t len) {
       FaultInjector::NoteSurvived();
       break;
     }
-    cursor.Unmap(page);
+    // Mark clears the present leaf itself; the new mark takes the block ref.
     Perm perm = victim.perm.Without(Perm::kCow);
     cursor.Mark(page, Status::Swapped(0, *block, perm));
     ++swapped;
@@ -843,18 +778,6 @@ std::unique_ptr<VmSpace> VmSpace::Fork() {
     return nullptr;
   }
   return std::move(*child);
-}
-
-uint64_t VmSpace::ResidentPages() {
-  VaRange everything(0, kVaLimit);
-  RCursor cursor = space_.Lock(everything);
-  uint64_t pages = 0;
-  cursor.ForEachStatus(everything, [&pages](VaRange run, const Status& status) {
-    if (status.mapped()) {
-      pages += run.num_pages();
-    }
-  });
-  return pages;
 }
 
 }  // namespace cortenmm

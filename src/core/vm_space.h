@@ -84,9 +84,6 @@ class VmSpace {
   // semantically unchanged).
   std::unique_ptr<VmSpace> Fork();
 
-  // Total resident pages currently mapped (for memory accounting).
-  uint64_t ResidentPages();
-
  private:
   // Fault resolution inside an existing transaction (|cursor| must cover the
   // faulting page). The huge-page rung only fires when the cursor also covers

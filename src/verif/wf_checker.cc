@@ -47,6 +47,7 @@ void CheckPtPage(AddrSpace& space, Pfn page, int level, WfReport* report) {
         ++report->present_leaves;
         Pfn frame = PtePfn(pt.arch(), pte);
         uint64_t frames = PtEntrySpan(level) >> kPageBits;
+        report->resident_pages += frames;
         if (!mem.ValidPfn(frame) || !mem.ValidPfn(frame + frames - 1)) {
           report->Fail("leaf PTE points outside physical memory");
         } else if (frames > 1) {
@@ -107,6 +108,11 @@ void CheckPtPage(AddrSpace& space, Pfn page, int level, WfReport* report) {
 WfReport CheckWellFormed(AddrSpace& space) {
   WfReport report;
   CheckPtPage(space, space.page_table().root(), kPtLevels, &report);
+  if (space.ResidentPagesFast() != report.resident_pages) {
+    report.Fail("resident counter reads " + std::to_string(space.ResidentPagesFast()) +
+                " but present leaves map " + std::to_string(report.resident_pages) +
+                " frames");
+  }
   return report;
 }
 

@@ -23,6 +23,9 @@ struct WfReport {
   uint64_t present_leaves = 0;
   uint64_t huge_leaves = 0;  // Present leaves at level >= 2.
   uint64_t meta_marks = 0;
+  // Frames summed over present leaves: the reference the space's O(1)
+  // resident counter (AddrSpace::ResidentPagesFast) must equal.
+  uint64_t resident_pages = 0;
 
   void Fail(const std::string& error) {
     if (ok) {
@@ -32,7 +35,8 @@ struct WfReport {
   }
 };
 
-// Walks the entire page table of |space| and validates the invariants.
+// Walks the entire page table of |space| and validates the invariants,
+// including that the resident counter matches the frames the tree maps.
 WfReport CheckWellFormed(AddrSpace& space);
 
 // Frame-leak check for chaos runs. The caller snapshots

@@ -2,9 +2,9 @@
 // 2 MiB-aligned anonymous region faults in as one level-2 leaf, partial
 // munmap splits it without disturbing bystander pages, fork COW-protects and
 // then splits on first write, SwapOut forces a split down to the evicted
-// base page, and ResidentPages stays exact through every transition. The
-// Linux-VMA baseline's THP knob gets the same treatment so the fig13/fig14
-// comparisons stay apples-to-apples.
+// base page, and the resident counter stays exact through every transition.
+// The Linux-VMA baseline's THP knob gets the same treatment so the
+// fig13/fig14 comparisons stay apples-to-apples.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -68,9 +68,9 @@ TEST_P(HugePageTest, ResidentPagesWeighsLeafLevel) {
   CortenVm mm(HugeOptions(GetParam()));
   Result<Vaddr> va = mm.MmapAnon(kHugePageSize, Perm::RW());
   ASSERT_TRUE(va.ok());
-  EXPECT_EQ(mm.vm().ResidentPages(), 0u);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 0u);
   ASSERT_TRUE(MmuSim::Write(mm, *va, 1).ok());
-  EXPECT_EQ(mm.vm().ResidentPages(), 1ull << kHugeOrder);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 1ull << kHugeOrder);
 }
 
 TEST_P(HugePageTest, PartialMunmapSplitsAndBystandersSurvive) {
@@ -86,7 +86,7 @@ TEST_P(HugePageTest, PartialMunmapSplitsAndBystandersSurvive) {
   constexpr uint64_t kCutPages = 64;  // 256 KiB off the front.
   ASSERT_TRUE(mm.Munmap(*va, kCutPages << kPageBits).ok());
   EXPECT_GE(CounterNow(Counter::kHugeSplits) - splits, 1u);
-  EXPECT_EQ(mm.vm().ResidentPages(), (1ull << kHugeOrder) - kCutPages);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), (1ull << kHugeOrder) - kCutPages);
 
   // Bystanders: still mapped (now via level-1 leaves), values intact.
   for (uint64_t p = kCutPages; p < (1ull << kHugeOrder); p += 64) {
@@ -145,13 +145,13 @@ TEST_P(HugePageTest, SwapOutForcesSplitAndSwapInRestores) {
   ASSERT_TRUE(evicted.ok());
   EXPECT_EQ(*evicted, 1u);
   EXPECT_GE(CounterNow(Counter::kHugeSplits) - splits, 1u);
-  EXPECT_EQ(mm.vm().ResidentPages(), (1ull << kHugeOrder) - 1);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), (1ull << kHugeOrder) - 1);
 
   // Touch swaps the page back in with its contents.
   uint64_t value = 0;
   ASSERT_TRUE(MmuSim::Read(mm, *va + 3 * kPageSize, &value).ok());
   EXPECT_EQ(value, 0xabcu);
-  EXPECT_EQ(mm.vm().ResidentPages(), 1ull << kHugeOrder);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 1ull << kHugeOrder);
 }
 
 #if CORTENMM_FAULTINJ
@@ -172,7 +172,7 @@ TEST_P(HugePageTest, AllocFailureFallsBackTo4K) {
   ASSERT_TRUE(wrote.ok());
   EXPECT_GE(CounterNow(Counter::kHugeFallbacks) - fallbacks, 1u);
   // The fault resolved at 4 KiB: exactly one base page is resident.
-  EXPECT_EQ(mm.vm().ResidentPages(), 1u);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 1u);
   RCursor cursor = mm.vm().addr_space().Lock(VaRange(*va, *va + kPageSize));
   Status status = cursor.Query(*va);
   ASSERT_TRUE(status.mapped());

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 
 #include "src/common/rng.h"
@@ -41,7 +42,9 @@ TEST_P(MmFuzzTest, RandomOpsMatchOracle) {
   AddrSpace::Options options;
   options.protocol = GetParam().protocol;
   options.arch = GetParam().arch;
-  CortenVm mm(options);
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  auto owner = std::make_unique<CortenVm>(options);
+  CortenVm& mm = *owner;
   Rng rng(GetParam().seed);
 
   // The oracle: per-page expected state. Absent = unmapped; value pair is
@@ -131,6 +134,10 @@ TEST_P(MmFuzzTest, RandomOpsMatchOracle) {
         break;
       }
     }
+    if (op % 50 == 49) {
+      WfReport report = CheckWellFormed(mm.vm().addr_space());
+      ASSERT_TRUE(report.ok) << "after op " << op << ": " << report.first_error;
+    }
   }
 
   // Final sweep: every oracle page reads back exactly; every non-oracle page
@@ -150,6 +157,9 @@ TEST_P(MmFuzzTest, RandomOpsMatchOracle) {
   }
   WfReport report = CheckWellFormed(mm.vm().addr_space());
   EXPECT_TRUE(report.ok) << report.first_error;
+  // Every Swapped mark the sequence left behind dies with the space.
+  owner.reset();
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
 
 #include "src/common/stats.h"
 #include "src/core/addr_space.h"
+#include "src/core/backing.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/verif/wf_checker.h"
@@ -71,29 +72,36 @@ TEST_P(RCursorTest, MarkCoversLargeRangeWithOneUpperLevelMark) {
 }
 
 TEST_P(RCursorTest, MarkPushdownOnPartialOverwrite) {
-  AddrSpace space(MakeOptions());
-  VaRange big(1ull << 31, (1ull << 31) + (2ull << 20));  // One whole 2 MiB slot.
+  SwapDevice& swap = SwapDevice::Instance();
+  uint64_t blocks_before = swap.blocks_in_use();
   {
+    AddrSpace space(MakeOptions());
+    VaRange big(1ull << 31, (1ull << 31) + (2ull << 20));  // One whole 2 MiB slot.
+    {
+      RCursor cursor = space.Lock(big);
+      ASSERT_TRUE(cursor.Mark(big, Status::PrivateAnon(Perm::RW())).ok());
+    }
+    // Overwrite one page in the middle with a Swapped status on a real block:
+    // the mark must be pushed down and only that page changed.
+    std::byte contents[kPageSize] = {};
+    Result<uint32_t> block = swap.WriteNewBlock(contents);
+    ASSERT_TRUE(block.ok());
+    Vaddr victim = big.start + (1ull << 20);
+    {
+      RCursor cursor = space.Lock(VaRange(victim, victim + kPageSize));
+      ASSERT_TRUE(cursor
+                      .Mark(VaRange(victim, victim + kPageSize),
+                            Status::Swapped(0, *block, Perm::RW()))
+                      .ok());
+    }
     RCursor cursor = space.Lock(big);
-    ASSERT_TRUE(cursor.Mark(big, Status::PrivateAnon(Perm::RW())).ok());
+    EXPECT_EQ(cursor.Query(big.start).tag, StatusTag::kPrivateAnon);
+    EXPECT_EQ(cursor.Query(victim).tag, StatusTag::kSwapped);
+    EXPECT_EQ(cursor.Query(victim).page_offset, *block);
+    EXPECT_EQ(cursor.Query(victim + kPageSize).tag, StatusTag::kPrivateAnon);
   }
-  // Overwrite one page in the middle with a different status: the mark must
-  // be pushed down and only that page changed.
-  Vaddr victim = big.start + (1ull << 20);
-  {
-    RCursor cursor = space.Lock(VaRange(victim, victim + kPageSize));
-    ASSERT_TRUE(cursor
-                    .Mark(VaRange(victim, victim + kPageSize),
-                          Status::Swapped(0, 99, Perm::RW()))
-                    .ok());
-  }
-  RCursor cursor = space.Lock(big);
-  EXPECT_EQ(cursor.Query(big.start).tag, StatusTag::kPrivateAnon);
-  EXPECT_EQ(cursor.Query(victim).tag, StatusTag::kSwapped);
-  EXPECT_EQ(cursor.Query(victim).page_offset, 99u);
-  EXPECT_EQ(cursor.Query(victim + kPageSize).tag, StatusTag::kPrivateAnon);
-  // Clean up the fake swap mark so teardown doesn't drop a bogus block ref.
-  cursor.Mark(VaRange(victim, victim + kPageSize), Status::PrivateAnon(Perm::RW()));
+  // The mark took the block reference; teardown's Unmap gave it back.
+  EXPECT_EQ(swap.blocks_in_use(), blocks_before);
 }
 
 TEST_P(RCursorTest, OffsetBearingMarkDecodesPerPage) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 
 #include "src/common/stats.h"
 #include "src/core/vm_space.h"
@@ -149,16 +151,51 @@ TEST(SwapTest, ForkSharesSwapBlocks) {
   EXPECT_EQ(value, 4242u);
 }
 
-TEST(SwapTest, MunmapReleasesBlocks) {
-  CortenVm mm(AdvOptions());
-  Result<Vaddr> va = mm.MmapAnon(4 * kPageSize, Perm::RW());
+// Every way a Swapped mark can die gives its blocks back: the mark holds one
+// block reference per page, and the cursor drops it wherever the mark is
+// erased or overwritten.
+class SwapMarkReleaseTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SwapMarkReleaseTest, BlocksReturnToBaseline) {
+  constexpr uint64_t kLen = 4 * kPageSize;
+  SwapDevice& swap = SwapDevice::Instance();
+  uint64_t baseline = swap.blocks_in_use();
+  auto mm = std::make_unique<CortenVm>(AdvOptions());
+  Result<Vaddr> va = mm->MmapAnon(kLen, Perm::RW());
   ASSERT_TRUE(va.ok());
-  ASSERT_TRUE(MmuSim::TouchRange(mm, *va, 4 * kPageSize, true).ok());
-  ASSERT_TRUE(mm.SwapOut(*va, 4 * kPageSize).ok());
-  uint64_t used = SwapDevice::Instance().blocks_in_use();
-  ASSERT_TRUE(mm.Munmap(*va, 4 * kPageSize).ok());
-  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), used - 4);
+  ASSERT_TRUE(MmuSim::TouchRange(*mm, *va, kLen, true).ok());
+  ASSERT_EQ(mm->SwapOut(*va, kLen).value_or(0), 4u);
+  ASSERT_EQ(swap.blocks_in_use(), baseline + 4);
+
+  const std::string& way = GetParam();
+  if (way == "Munmap") {
+    ASSERT_TRUE(mm->Munmap(*va, kLen).ok());
+  } else if (way == "MapFixed") {
+    ASSERT_TRUE(mm->vm().MmapAnonAt(*va, kLen, Perm::RW()).ok());
+  } else if (way == "RingMunmap" || way == "RingMmapFixed") {
+    MmOpCode op = way == "RingMunmap" ? MmOpCode::kMunmap : MmOpCode::kMmapAnonFixed;
+    MmSqe sqe{.op = op, .perm = Perm::RW(), .va = *va, .len = kLen};
+    MmCqe cqe;
+    ASSERT_TRUE(mm->vm().TryExecuteFused(&sqe, &cqe, 1));
+    ASSERT_EQ(cqe.err, ErrCode::kOk);
+  } else if (way == "SwapInFault") {
+    ASSERT_TRUE(MmuSim::TouchRange(*mm, *va, kLen, false).ok());
+  } else {  // DestroySpace; ForkThenExits first forks a child and exits it.
+    if (way == "ForkThenExits") {
+      std::unique_ptr<VmSpace> child = mm->vm().Fork();
+      ASSERT_NE(child, nullptr);
+      child.reset();
+      EXPECT_EQ(swap.blocks_in_use(), baseline + 4) << "child exit freed shared blocks";
+    }
+    mm.reset();
+  }
+  EXPECT_EQ(swap.blocks_in_use(), baseline);
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryWay, SwapMarkReleaseTest,
+                         ::testing::Values("Munmap", "MapFixed", "RingMunmap", "RingMmapFixed",
+                                           "SwapInFault", "DestroySpace", "ForkThenExits"),
+                         [](const auto& info) { return info.param; });
 
 TEST(SwapTest, SwapSkipsSharedCowPages) {
   CortenVm parent(AdvOptions());
