@@ -9,24 +9,20 @@
 #include "src/core/addr_space.h"  // DropRunRef / AddFrameRef
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
+#include "src/tlb/asid.h"
 #include "src/tlb/gather.h"
 
 namespace cortenmm {
-namespace {
-
-std::atomic<uint16_t> g_next_linux_asid{0x4000};  // Disjoint from CortenMM ASIDs.
-
-}  // namespace
 
 LinuxVmaMm::LinuxVmaMm(const Options& options)
     : options_(options),
-      asid_(g_next_linux_asid.fetch_add(1, std::memory_order_relaxed)),
+      asid_(AllocAsid()),
       pt_(options.arch),
       va_alloc_(/*per_core=*/false) {}  // Linux: one VA arena per mm.
 
 LinuxVmaMm::LinuxVmaMm(const Options& options, PageTable pt)
     : options_(options),
-      asid_(g_next_linux_asid.fetch_add(1, std::memory_order_relaxed)),
+      asid_(AllocAsid()),
       pt_(std::move(pt)),
       va_alloc_(/*per_core=*/false) {}
 
@@ -46,6 +42,7 @@ LinuxVmaMm::~LinuxVmaMm() {
   for (CpuId cpu : active_cpus_.ToVector()) {
     TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
   }
+  FreeAsid(asid_);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,8 +529,8 @@ VoidResult LinuxVmaMm::HandleFault(Vaddr va, Access access) {
           {
             // Anonymous reverse-map setup (page_add_new_anon_rmap analog).
             SpinGuard rmap_guard(frame_desc.rmap_lock);
-            frame_desc.owner = this;
-            frame_desc.owner_key = page_va;
+            frame_desc.owner.store(this, std::memory_order_relaxed);
+            frame_desc.owner_key.store(page_va, std::memory_order_relaxed);
           }
           pt_.StoreEntry(*leaf_table, PtIndex(page_va, 1),
                          MakeLeafPte(pt_.arch(), *frame, perm, 1));
@@ -588,8 +585,8 @@ bool LinuxVmaMm::TryHugeDemandFault(Vaddr huge_base, Perm perm) {
     // Rmap for the compound head (page_add_new_anon_rmap on the head page).
     PageDescriptor& head_desc = mem.Descriptor(*run);
     SpinGuard rmap_guard(head_desc.rmap_lock);
-    head_desc.owner = this;
-    head_desc.owner_key = huge_base;
+    head_desc.owner.store(this, std::memory_order_relaxed);
+    head_desc.owner_key.store(huge_base, std::memory_order_relaxed);
   }
   pt_.StoreEntry(*table, index, MakeLeafPte(pt_.arch(), *run, perm, 2));
   table_desc.cna.Unlock(node);

@@ -9,18 +9,14 @@
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/pt/pte.h"
+#include "src/tlb/asid.h"
 #include "src/tlb/gather.h"
 
 namespace cortenmm {
-namespace {
-
-std::atomic<uint16_t> g_next_nros_asid{0xc000};
-
-}  // namespace
 
 NrosMm::NrosMm(const Options& options)
     : options_(options),
-      asid_(g_next_nros_asid.fetch_add(1, std::memory_order_relaxed)),
+      asid_(AllocAsid()),
       va_alloc_(/*per_core=*/false),
       replicas_(new Replica[options.replicas]) {
   for (int i = 0; i < options_.replicas; ++i) {
@@ -34,6 +30,7 @@ NrosMm::~NrosMm() {
   for (CpuId cpu : active_cpus_.ToVector()) {
     TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
   }
+  FreeAsid(asid_);
 }
 
 PageTable& NrosMm::PageTableFor(CpuId cpu) {

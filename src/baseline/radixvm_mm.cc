@@ -9,14 +9,10 @@
 #include "src/core/addr_space.h"  // DropRunRef
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
+#include "src/tlb/asid.h"
 #include "src/tlb/gather.h"
 
 namespace cortenmm {
-namespace {
-
-std::atomic<uint16_t> g_next_radix_asid{0x8000};
-
-}  // namespace
 
 // Leaf: 512 PageInfo slots guarded by one lock (one lock per 2 MiB of VA —
 // the same granularity as RadixVM's per-node locking).
@@ -32,7 +28,7 @@ struct RadixVmMm::RadixNode {
 
 RadixVmMm::RadixVmMm(const Options& options)
     : options_(options),
-      asid_(g_next_radix_asid.fetch_add(1, std::memory_order_relaxed)),
+      asid_(AllocAsid()),
       va_alloc_(/*per_core=*/true),  // RadixVM allocates VA per-core too.
       radix_root_(new RadixNode),
       replicas_(new Replica[options.max_cores]) {
@@ -45,6 +41,7 @@ RadixVmMm::~RadixVmMm() {
   for (CpuId cpu : active_cpus_.ToVector()) {
     TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
   }
+  FreeAsid(asid_);
   // Free the radix tree.
   std::function<void(RadixNode*, int)> free_node = [&](RadixNode* node, int level) {
     for (int i = 0; i < kRadixFanout; ++i) {

@@ -39,12 +39,6 @@ class NodeTopology {
   }
   CpuId FirstCpuOfNode(int node) const { return node * cpus_per_node_; }
 
-  // Access cost in simulated cycles (arbitrary units; local ~= an L2 hit).
-  // The matrix is asymmetric like real socket interconnects (upstream and
-  // downstream links are provisioned differently): cost(0->1) != cost(1->0).
-  uint32_t AccessCost(int from, int to) const { return cost_[from][to]; }
-  uint32_t LocalCost() const { return kLocalCost; }
-
   // Spin iterations the software MMU charges per remote load/store, derived
   // from the cost delta over a local access. Zero when from == to.
   uint32_t RemotePenaltySpins(int from, int to) const {

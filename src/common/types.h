@@ -61,7 +61,6 @@ struct PageRun {
   constexpr PageRun(Pfn p, uint8_t o) : pfn(p), order(o) {}
 
   constexpr uint64_t num_frames() const { return 1ull << order; }
-  constexpr uint64_t num_bytes() const { return kPageSize << order; }
   constexpr bool aligned() const { return IsAligned(pfn, num_frames()); }
   friend constexpr bool operator==(const PageRun&, const PageRun&) = default;
 };

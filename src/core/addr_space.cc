@@ -11,11 +11,10 @@
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/sync/rcu.h"
+#include "src/tlb/asid.h"
 
 namespace cortenmm {
 namespace {
-
-std::atomic<uint16_t> g_next_asid{1};
 
 // True if, assuming full population, the child PT page under the level-|level|
 // page would completely cover |range| (Figure 5 L3 / Figure 6 L5). A range
@@ -114,24 +113,24 @@ AddrSpace::AddrSpace(const Options& options)
 
 AddrSpace::AddrSpace(const Options& options, PageTable pt)
     : options_(options),
-      asid_(g_next_asid.fetch_add(1, std::memory_order_relaxed)),
+      asid_(AllocAsid()),
       pt_(std::move(pt)),
       va_alloc_(options.per_core_va) {}
 
 AddrSpace::~AddrSpace() {
-  // Tear down every mapping through the transactional interface, then let the
-  // PageTable destructor release the remaining PT pages. Draining the RCU
-  // monitor and lazy shootdowns first keeps teardown race-free.
+  // The space is unreachable (VmSpace deregistered it from the reclaim
+  // governor), so the teardown is one full-mm pass instead of an Unmap: see
+  // RCursor::TearDownFullMm. The PageTable destructor then frees the PT pages
+  // directly. The drains finish what earlier munmaps of this space deferred:
+  // their LATR entries name this ASID, which goes back to the pool only
+  // after them, and their PT pages wait in the RCU monitor.
   {
     RCursor cursor = Lock(VaRange(0, kVaLimit));
-    cursor.Unmap(VaRange(0, kVaLimit));
+    cursor.TearDownFullMm();
   }
   TlbSystem::Instance().DrainAll();
   Rcu::Instance().DrainAll();
-  // Invalidate any remaining translations for this ASID everywhere.
-  for (CpuId cpu : active_cpus_.ToVector()) {
-    TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
-  }
+  FreeAsid(asid_);
 }
 
 RCursor AddrSpace::Lock(VaRange range) {

@@ -144,9 +144,6 @@ class RCursor {
   void ForEachStatus(VaRange sub,
                      const std::function<void(VaRange, const Status&)>& visit);
 
-  // Number of stale-retry loops the adv protocol took to acquire this cursor.
-  int acquire_retries() const { return acquire_retries_; }
-
  private:
   friend class AddrSpace;
 
@@ -193,6 +190,18 @@ class RCursor {
   VoidResult MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
                     const Status& status);
   void ProtectIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub, Perm perm);
+
+  // Full-mm teardown (Linux's exit_mmap with a fullmm tlb_gather). Only
+  // ~AddrSpace may call it, on its whole-space cursor, once no other thread
+  // can reach the space. One synchronous full-ASID shootdown over the active
+  // CPUs comes first, then one walk drops each present leaf's mapcounts and
+  // frame references inline and erases every mark through ClearMark. It
+  // gathers nothing, tracks no range, leaves PTEs and present counts as they
+  // are and sets the resident count to 0 once: the PageTable destructor frees
+  // the PT pages whole, with no stale mark and no RCU retire, because no
+  // lock-free walker can reach a dead space's tree.
+  void TearDownFullMm();
+  void TearDownIn(Pfn pt_page, int level);
   void StatusIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
                 const std::function<void(VaRange, const Status&)>& visit);
 
@@ -264,6 +273,8 @@ class AddrSpace {
   explicit AddrSpace(const Options& options);
   // Adopts a pre-created page table (the fallible construction path).
   AddrSpace(const Options& options, PageTable pt);
+  // Tears the space down in one full-mm pass (RCursor::TearDownFullMm). No
+  // other thread may still reach the space.
   ~AddrSpace();
   AddrSpace(const AddrSpace&) = delete;
   AddrSpace& operator=(const AddrSpace&) = delete;

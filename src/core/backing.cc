@@ -69,8 +69,8 @@ Result<Pfn> SimFile::GetPage(uint32_t page_index) {
   desc.ResetForAlloc(FrameType::kFileCache);
   {
     SpinGuard rmap_guard(desc.rmap_lock);
-    desc.owner = this;
-    desc.owner_key = page_index;
+    desc.owner.store(this, std::memory_order_relaxed);
+    desc.owner_key.store(page_index, std::memory_order_relaxed);
   }
   SpinGuard guard(lock_);
   auto [it, inserted] = cache_.emplace(page_index, *frame);

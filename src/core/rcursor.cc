@@ -283,8 +283,8 @@ VoidResult RCursor::MapHuge(Vaddr addr, Pfn pfn, Perm perm, int level) {
   {
     PageDescriptor& head = mem.Descriptor(pfn);
     SpinGuard guard(head.rmap_lock);
-    head.owner = space_;
-    head.owner_key = addr;
+    head.owner.store(space_, std::memory_order_relaxed);
+    head.owner_key.store(addr, std::memory_order_relaxed);
   }
   return VoidResult();
 }
@@ -356,19 +356,17 @@ VoidResult RCursor::CloneSubtree(RCursor& child, Pfn parent_page, Pfn child_page
       continue;
     }
     // Table entry: allocate the child's counterpart (born locked in the
-    // child's cursor) and recurse. On failure the present count accumulated
-    // so far must still be persisted — the caller tears the partial clone
-    // down through the normal unmap path, which decrements it per slot.
+    // child's cursor) and recurse. On failure the caller destroys the partial
+    // child whole (the full-mm teardown), which needs every cloned page
+    // linked but reads no present count.
     Result<Pfn> clone = child_pt.AllocPtPage(level - 1);
     if (!clone.ok()) {
-      mem.Descriptor(child_page).present_ptes.store(--present, std::memory_order_relaxed);
       return clone.error();
     }
     child.NoteLocked(*clone, level - 1);
     VoidResult r = CloneSubtree(child, PtePfn(arch, pte), *clone, level - 1);
     child_pt.StoreEntry(child_page, i, MakeTablePte(arch, *clone));
     if (!r.ok()) {
-      mem.Descriptor(child_page).present_ptes.store(present, std::memory_order_relaxed);
       return r;
     }
   }
@@ -446,6 +444,49 @@ VoidResult RCursor::Unmap(VaRange sub) {
   Vaddr covering_base = AlignDown(range_.start, PtPageSpan(covering_level_));
   UnmapIn(covering_, covering_level_, covering_base, sub);
   return VoidResult();
+}
+
+// ---------------------------------------------------------------------------
+// Full-mm teardown (exit)
+// ---------------------------------------------------------------------------
+
+void RCursor::TearDownIn(Pfn pt_page, int level) {
+  PageTable& pt = space_->page_table();
+  PhysMem& mem = PhysMem::Instance();
+  if (PteMetaArray* marks = MetaArrayOf(pt_page, /*create=*/false)) {
+    for (uint64_t i = 0; i < kPtesPerPage; ++i) {
+      if (!marks->entries[i].empty()) {
+        ClearMark(pt_page, level, i);
+      }
+    }
+  }
+  for (uint64_t i = 0; i < kPtesPerPage; ++i) {
+    Pte pte = pt.LoadEntry(pt_page, i);
+    if (!PteIsPresent(pt.arch(), pte)) {
+      continue;
+    }
+    if (!PteIsLeaf(pt.arch(), pte, level)) {
+      TearDownIn(PtePfn(pt.arch(), pte), level - 1);
+      continue;
+    }
+    // The PTE and the page's present count stay: the PT page is freed whole.
+    Pfn head = PtePfn(pt.arch(), pte);
+    for (uint64_t f = 0; f < LeafFrames(level); ++f) {
+      mem.Descriptor(head + f).mapcount.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    DropRunRef(PageRun(head, static_cast<uint8_t>(kPteIndexBits * (level - 1))));
+  }
+}
+
+void RCursor::TearDownFullMm() {
+  assert(range_ == VaRange(0, kVaLimit));
+  // One synchronous full-ASID flush before any frame goes back: afterwards no
+  // CPU can reach a frame through this space, so the walk frees in place.
+  TlbSystem::Instance().ShootdownBatch(space_->asid_, nullptr, 0, /*full_asid=*/true,
+                                       space_->active_cpus_, TlbPolicy::kSync, {},
+                                       nullptr);
+  TearDownIn(covering_, covering_level_);
+  space_->resident_pages_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

@@ -53,8 +53,11 @@ VmSpace::~VmSpace() {
   // Deregister from the reclaim tenant registry FIRST — before ~AddrSpace's
   // teardown transaction takes the whole-space lock. The governor waits out
   // any in-flight reclaimer pinning this space; doing that while holding the
-  // whole-space cursor would deadlock against a reclaimer blocked on it. The
-  // teardown Unmap also releases the swap blocks of any Swapped marks.
+  // whole-space cursor would deadlock against a reclaimer blocked on it.
+  // Deregistration is also the full-mm teardown's precondition: afterwards
+  // no other thread can reach the space, so ~AddrSpace drops every frame in
+  // one walk after one ASID flush and frees the PT pages without RCU (the
+  // walk releases the swap blocks of any Swapped marks too).
   if (MemPressureGovernor* governor = PressureGovernor()) {
     governor->OnSpaceDestroying(this);
   }
@@ -770,9 +773,9 @@ std::unique_ptr<VmSpace> VmSpace::Fork() {
   }
   if (!cloned) {
     // Partial clone: destroying the child (after its cursor unlocked) walks
-    // its tree through the normal teardown path, returning every frame
-    // reference and swap-block reference the clone took. The parent's pages
-    // may have gained COW protection, which is semantically invisible.
+    // its tree in the full-mm teardown, returning every frame reference and
+    // swap-block reference the clone took. The parent's pages may have
+    // gained COW protection, which is semantically invisible.
     child->reset();
     FaultInjector::NoteRolledBack();
     return nullptr;

@@ -82,9 +82,12 @@ struct alignas(kCacheLineSize) PageDescriptor {
   // --- Reverse mapping (valid for kAnon / kFileCache) ------------------------
   // Anonymous: owner = AddrSpace*, owner_key = mapping VA.
   // File cache: owner = SimFile*, owner_key = page index within the file.
+  // Set as a pair under rmap_lock. Atomic (relaxed) because the pair is only a
+  // hint: the reclaim clock reads it while the frame may be freed and
+  // reallocated, and ResetForAlloc clears it without the lock.
   SpinLock rmap_lock;
-  void* owner = nullptr;
-  uint64_t owner_key = 0;
+  std::atomic<void*> owner{nullptr};
+  std::atomic<uint64_t> owner_key{0};
 
   // --- Reclaim clock state (valid for kAnon) --------------------------------
   // Second-chance referenced bit: set on (re)allocation and on every software
@@ -109,8 +112,8 @@ struct alignas(kCacheLineSize) PageDescriptor {
     stale.store(false, std::memory_order_relaxed);
     present_ptes.store(0, std::memory_order_relaxed);
     pt_level = 0;
-    owner = nullptr;
-    owner_key = 0;
+    owner.store(nullptr, std::memory_order_relaxed);
+    owner_key.store(0, std::memory_order_relaxed);
     young.store(true, std::memory_order_relaxed);
   }
 };

@@ -224,8 +224,8 @@ uint64_t ReclaimSystem::ReclaimPages(uint64_t target_pages, AddrSpace* only,
     Vaddr va;
     {
       SpinGuard guard(desc.rmap_lock);
-      owner = static_cast<AddrSpace*>(desc.owner);
-      va = desc.owner_key;
+      owner = static_cast<AddrSpace*>(desc.owner.load(std::memory_order_relaxed));
+      va = desc.owner_key.load(std::memory_order_relaxed);
     }
     if (owner == nullptr || (only != nullptr && owner != only)) {
       continue;

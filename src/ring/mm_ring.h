@@ -89,9 +89,6 @@ class MmRing {
   // Ops submitted and not yet reaped by the calling CPU.
   uint32_t Outstanding() const;
 
-  // Global count of submitted-but-uncompleted ops (diagnostics; racy).
-  uint64_t Pending() const { return pending_.load(std::memory_order_relaxed); }
-
  private:
   struct alignas(kCacheLineSize) PerCpu {
     // The four free-running 32-bit indices (slot = index % kDepth) are split

@@ -57,11 +57,6 @@ class PfqRwLock {
     wout_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  // Best-effort: true if a writer currently holds or waits for the lock.
-  bool HasWriterHint() const {
-    return (rin_.load(std::memory_order_relaxed) & kWriterBits) != 0;
-  }
-
  private:
   static constexpr uint32_t kPhaseId = 0x1;
   static constexpr uint32_t kWriterPresent = 0x2;

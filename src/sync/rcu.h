@@ -28,8 +28,6 @@ class Rcu {
   void ReadUnlock();
   bool InReadSection() const;
 
-  uint64_t CurrentEpoch() const { return epoch_.load(std::memory_order_acquire); }
-
   // Classic grace-period wait: returns once every read-side critical section
   // that was in flight at the time of the call has ended.
   void Synchronize();

@@ -68,15 +68,6 @@ class TlbGather {
   bool full_flush() const { return full_flush_; }
   size_t range_count() const { return ranges_.size(); }
   const VaRange* ranges() const { return ranges_.begin(); }
-  size_t run_count() const { return runs_.size(); }
-  // Total frames across the gathered runs (reclaim volume, not record count).
-  uint64_t frame_count() const {
-    uint64_t total = 0;
-    for (const PageRun& run : runs_) {
-      total += run.num_frames();
-    }
-    return total;
-  }
 
  private:
   SmallVec<VaRange, kMaxRanges> ranges_;  // Sorted by start, pairwise disjoint.

@@ -1,17 +1,20 @@
 // Tests for the TLB substrate: lookup/insert/invalidate semantics, ASID
 // isolation, huge-page entries, and the three shootdown policies including
-// LATR's deferred frame reclamation.
+// LATR's deferred frame reclamation, and the shared ASID allocator.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
+#include "src/core/addr_space.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/pt/pte.h"
+#include "src/sim/bench_util.h"
 #include "src/tlb/gather.h"
 #include "src/tlb/shootdown.h"
 #include "src/tlb/tlb.h"
@@ -598,6 +601,27 @@ TEST(TlbTest, SetIndexedOnePageShootdownUnderEveryPolicy) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ASID allocation
+// ---------------------------------------------------------------------------
+
+// Spaces of every manager kind stay alive while 70000 short-lived spaces come
+// and go — more creations than there are ASIDs, so a wrapping counter would
+// hand a live ASID out again and two spaces would share TLB entries.
+TEST(AsidTest, LiveAsidIsNeverHandedOutTwice) {
+  std::vector<std::unique_ptr<MmInterface>> live;
+  std::set<Asid> live_asids;
+  for (MmKind kind : {MmKind::kCortenAdv, MmKind::kLinux, MmKind::kRadixVm, MmKind::kNros}) {
+    live.push_back(MakeMm(kind));
+    live_asids.insert(live.back()->asid());
+  }
+  ASSERT_EQ(live_asids.size(), live.size());
+  for (int i = 0; i < 70000; ++i) {
+    AddrSpace transient{AddrSpace::Options()};
+    ASSERT_EQ(live_asids.count(transient.asid()), 0u) << "creation " << i;
   }
 }
 

@@ -1,18 +1,23 @@
 // Advanced memory-semantics tests (paper Table 2): reverse mapping, shared
 // anonymous segments across fork, swap block sharing, file write-back
-// visibility, huge-page lifecycles, and on-demand paging edge cases.
+// visibility, huge-page lifecycles, on-demand paging edge cases, and the
+// full-mm exit teardown.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/stats.h"
 #include "src/core/vm_space.h"
+#include "src/fault/fault_inject.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/sim/corten_vm.h"
 #include "src/sim/mmu.h"
+#include "src/sync/rcu.h"
+#include "src/verif/wf_checker.h"
 
 namespace cortenmm {
 namespace {
@@ -304,6 +309,185 @@ TEST(OnDemandTest, HugeRegionMarksStayCoarseUntilTouched) {
   EXPECT_LE(pt_after_mmap - pt_before, 8u);
   ASSERT_TRUE(MmuSim::Write(mm, *va + (512ull << 20), 1).ok());
   ASSERT_TRUE(mm.Munmap(*va, 1ull << 30).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Exit: the full-mm teardown of a dying space
+// ---------------------------------------------------------------------------
+
+uint64_t CounterNow(Counter c) { return GlobalStats().Total(c); }
+
+Pfn PfnAt(CortenVm& mm, Vaddr va) {
+  RCursor cursor = mm.vm().addr_space().Lock(VaRange(va, va + kPageSize));
+  Status status = cursor.Query(va);
+  EXPECT_TRUE(status.mapped());
+  return status.pfn;
+}
+
+struct FrameCounts {
+  uint32_t refcount;
+  uint32_t mapcount;
+  bool operator==(const FrameCounts&) const = default;
+};
+
+FrameCounts CountsOf(Pfn pfn) {
+  PageDescriptor& desc = PhysMem::Instance().Descriptor(pfn);
+  return {desc.refcount.load(), desc.mapcount.load()};
+}
+
+TEST(ExitTest, ChildExitRestoresSharedFrameCounts) {
+  constexpr uint64_t kPages = 16;
+  CortenVm parent(AdvOptions());
+  Result<Vaddr> va = parent.MmapAnon(kPages * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(parent, *va, kPages * kPageSize, /*write=*/true).ok());
+  std::vector<Pfn> frames;
+  std::vector<FrameCounts> before;
+  for (uint64_t p = 0; p < kPages; ++p) {
+    frames.push_back(PfnAt(parent, *va + p * kPageSize));
+    before.push_back(CountsOf(frames.back()));
+  }
+  {
+    std::unique_ptr<MmInterface> child = parent.Fork();
+    ASSERT_NE(child, nullptr);
+    // The child copies every even page away and keeps sharing the odd ones.
+    for (uint64_t p = 0; p < kPages; p += 2) {
+      ASSERT_TRUE(MmuSim::Write(*child, *va + p * kPageSize, 7).ok());
+    }
+    EXPECT_EQ(CountsOf(frames[1]), (FrameCounts{before[1].refcount + 1, before[1].mapcount + 1}));
+  }
+  for (uint64_t p = 0; p < kPages; ++p) {
+    EXPECT_EQ(CountsOf(frames[p]), before[p]) << "page " << p;
+  }
+  // The parent is the sole mapper again: its write takes write access back
+  // in place (SetLeafPerm) instead of copying.
+  uint64_t cow_faults = CounterNow(Counter::kCowFaults);
+  uint64_t allocated = CounterNow(Counter::kFramesAllocated);
+  ASSERT_TRUE(MmuSim::Write(parent, *va + kPageSize, 9).ok());
+  EXPECT_EQ(CounterNow(Counter::kCowFaults) - cow_faults, 1u);
+  EXPECT_EQ(CounterNow(Counter::kFramesAllocated) - allocated, 0u);
+  EXPECT_EQ(PfnAt(parent, *va + kPageSize), frames[1]);
+}
+
+TEST(ExitTest, HugeLeafChildFreesItsRunAsOneBlock) {
+  AddrSpace::Options options = AdvOptions();
+  options.huge_pages = true;
+  auto parent = std::make_unique<CortenVm>(options);
+  Result<Vaddr> va = parent->MmapAnon(kHugePageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::Write(*parent, *va, 1).ok());
+  {
+    RCursor cursor = parent->vm().addr_space().Lock(VaRange(*va, *va + kHugePageSize));
+    ASSERT_EQ(cursor.Query(*va).level, 2);
+  }
+  std::unique_ptr<MmInterface> child = parent->Fork();
+  ASSERT_NE(child, nullptr);
+  parent.reset();  // The child now holds the run's only references.
+  uint64_t huge_frees = CounterNow(Counter::kHugeFrees);
+  child.reset();
+  EXPECT_EQ(CounterNow(Counter::kHugeFrees) - huge_frees, 1u);
+}
+
+TEST(ExitTest, PopulatedExitIsOneShootdownAndFreesEveryPtPage) {
+  auto mm = std::make_unique<CortenVm>(AdvOptions());
+  Result<Vaddr> va = mm->MmapAnon(1024 * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(*mm, *va, 1024 * kPageSize, /*write=*/true).ok());
+  ASSERT_TRUE(mm->Munmap(*va + 512 * kPageSize, 256 * kPageSize).ok());
+  uint64_t pt_pages = mm->vm().addr_space().page_table().CountPtPages();
+  // Settle the munmap's deferred frees first so only the exit is counted.
+  TlbSystem::Instance().DrainAll();
+  Rcu::Instance().DrainAll();
+  uint64_t shootdowns = CounterNow(Counter::kTlbShootdowns);
+  uint64_t pt_freed = CounterNow(Counter::kPtPagesFreed);
+  uint64_t retired = CounterNow(Counter::kRcuRetired);
+  mm.reset();
+  EXPECT_EQ(CounterNow(Counter::kTlbShootdowns) - shootdowns, 1u);
+  EXPECT_EQ(CounterNow(Counter::kPtPagesFreed) - pt_freed, pt_pages);
+  EXPECT_EQ(CounterNow(Counter::kRcuRetired) - retired, 0u);
+}
+
+TEST(ExitTest, LatrExitLeavesNoEntryInAnyActiveTlb) {
+  constexpr uint64_t kPages = 8;
+  AddrSpace::Options options = AdvOptions();
+  options.tlb_policy = TlbPolicy::kLatr;
+  auto mm = std::make_unique<CortenVm>(options);
+  Result<Vaddr> va = mm->MmapAnon(kPages * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  const CpuId cpus[] = {6, 7};
+  for (CpuId cpu : cpus) {
+    BindThisThreadToCpu(cpu);
+    ASSERT_TRUE(MmuSim::TouchRange(*mm, *va, kPages * kPageSize, /*write=*/true).ok());
+  }
+  const Asid asid = mm->asid();
+  for (CpuId cpu : cpus) {
+    for (uint64_t p = 0; p < kPages; ++p) {
+      ASSERT_TRUE(TlbSystem::Instance().CpuTlb(cpu).Lookup(asid, *va + p * kPageSize))
+          << "cpu " << cpu << " page " << p;
+    }
+  }
+  mm.reset();
+  for (CpuId cpu : cpus) {
+    for (uint64_t p = 0; p < kPages; ++p) {
+      EXPECT_FALSE(TlbSystem::Instance().CpuTlb(cpu).Lookup(asid, *va + p * kPageSize))
+          << "cpu " << cpu << " page " << p;
+    }
+  }
+}
+
+// A fork that runs out of memory part-way through CloneSubtree destroys the
+// half-built child through the same teardown; every frame reference, swap
+// block reference and PT page the clone took must come back.
+TEST(ExitTest, PartialCloneTearsDownLeakFree) {
+#if !CORTENMM_FAULTINJ
+  GTEST_SKIP() << "fault injection compiled out";
+#else
+  constexpr uint64_t kPages = 1024;  // Spans at least two leaf PT pages.
+  TlbSystem::Instance().DrainAll();
+  Rcu::Instance().DrainAll();
+  BuddyAllocator::Instance().FlushCpuCaches();
+  uint64_t baseline_free = BuddyAllocator::Instance().FreeFrameCount();
+  uint64_t baseline_blocks = SwapDevice::Instance().blocks_in_use();
+  {
+    CortenVm parent(AdvOptions());
+    Result<Vaddr> va = parent.MmapAnon(kPages * kPageSize, Perm::RW());
+    ASSERT_TRUE(va.ok());
+    ASSERT_TRUE(MmuSim::TouchRange(parent, *va, kPages * kPageSize, /*write=*/true).ok());
+    ASSERT_EQ(parent.SwapOut(*va, 4 * kPageSize).value_or(0), 4u);
+    std::vector<Pfn> frames;
+    std::vector<FrameCounts> before;
+    for (uint64_t p = 4; p < kPages; ++p) {
+      frames.push_back(PfnAt(parent, *va + p * kPageSize));
+      before.push_back(CountsOf(frames.back()));
+    }
+    // Frame allocation fail_after + 1 of the fork fails. The child's root is
+    // the first and the clone's PT pages follow in tree order (L3, L2, then
+    // the leaf pages), so a failed fork that allocated four or more had
+    // already cloned a leaf page's mappings.
+    bool partial_clone_seen = false;
+    for (uint64_t fail_after = 0; fail_after < 8; ++fail_after) {
+      uint64_t pt_allocated = CounterNow(Counter::kPtPagesAllocated);
+      FaultInjector::Instance().Enable(FaultSite::kBuddyAllocFrame,
+                                       FaultConfig{.fail_after = fail_after,
+                                                   .max_injections = 1});
+      std::unique_ptr<VmSpace> child = parent.vm().Fork();
+      FaultInjector::Instance().DisableAll();
+      partial_clone_seen |=
+          child == nullptr && CounterNow(Counter::kPtPagesAllocated) - pt_allocated >= 4;
+      child.reset();
+      for (size_t i = 0; i < frames.size(); ++i) {
+        ASSERT_EQ(CountsOf(frames[i]), before[i]) << "fail_after " << fail_after;
+      }
+    }
+    EXPECT_TRUE(partial_clone_seen);
+    WfReport report = CheckWellFormed(parent.vm().addr_space());
+    EXPECT_TRUE(report.ok) << report.first_error;
+  }
+  // A block reference the teardown missed keeps its block past the parent.
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), baseline_blocks);
+  LeakReport leaks = CheckFrameLeaks(baseline_free);
+  EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
+#endif
 }
 
 }  // namespace
