@@ -39,9 +39,8 @@ LinuxVmaMm::~LinuxVmaMm() {
   DoMunmapLocked(VaRange(0, kVaLimit));
   mmap_lock_.WriteUnlock();
   TlbSystem::Instance().DrainAll();
-  for (CpuId cpu : active_cpus_.ToVector()) {
-    TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
-  }
+  active_cpus_.ForEach(
+      [this](CpuId cpu) { TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_); });
   FreeAsid(asid_);
 }
 
@@ -186,8 +185,7 @@ void LinuxVmaMm::UnmapPtRange(VaRange range, std::vector<PageRun>* dead_runs) {
     Pfn pfn = PtePfn(pt_.arch(), leaf.pte);
     uint64_t frames = leaf.level == 2 ? (1ull << kHugeOrder) : 1;
     for (uint64_t f = 0; f < frames; ++f) {
-      PhysMem::Instance().Descriptor(pfn + f).mapcount.fetch_sub(
-          1, std::memory_order_acq_rel);
+      PhysMem::Instance().Descriptor(pfn + f).DropRefs(0, 1);
     }
     dead_runs->push_back(
         PageRun(pfn, leaf.level == 2 ? static_cast<uint8_t>(kHugeOrder) : 0));
@@ -473,7 +471,7 @@ VoidResult LinuxVmaMm::HandleFault(Vaddr va, Access access) {
           Pfn old_pfn = PtePfn(pt_.arch(), walk.pte);
           PageDescriptor& old_desc = PhysMem::Instance().Descriptor(old_pfn);
           Perm p = perm.Without(Perm::kCow).With(Perm::kWrite);
-          if (old_desc.mapcount.load(std::memory_order_acquire) == 1) {
+          if (old_desc.mapcount() == 1) {
             pt_.StoreEntry(walk.pt_page, walk.index,
                            MakeLeafPte(pt_.arch(), old_pfn, p, 1));
           } else {
@@ -483,11 +481,10 @@ VoidResult LinuxVmaMm::HandleFault(Vaddr va, Access access) {
             } else {
               PhysMem::Instance().Descriptor(*copy).ResetForAlloc(FrameType::kAnon);
               PhysMem::Instance().CopyFrame(*copy, old_pfn);
-              PhysMem::Instance().Descriptor(*copy).mapcount.store(
-                  1, std::memory_order_relaxed);
+              PhysMem::Instance().Descriptor(*copy).InitRefs(1, 1);
               pt_.StoreEntry(walk.pt_page, walk.index,
                              MakeLeafPte(pt_.arch(), *copy, p, 1));
-              old_desc.mapcount.fetch_sub(1, std::memory_order_acq_rel);
+              old_desc.DropRefs(0, 1);
               TlbGather gather;
               gather.AddRange(VaRange(page_va, page_va + kPageSize));
               gather.AddFrame(old_pfn);
@@ -525,7 +522,7 @@ VoidResult LinuxVmaMm::HandleFault(Vaddr va, Access access) {
         } else {
           PageDescriptor& frame_desc = PhysMem::Instance().Descriptor(*frame);
           frame_desc.ResetForAlloc(FrameType::kAnon);
-          frame_desc.mapcount.store(1, std::memory_order_relaxed);
+          frame_desc.InitRefs(1, 1);
           {
             // Anonymous reverse-map setup (page_add_new_anon_rmap analog).
             SpinGuard rmap_guard(frame_desc.rmap_lock);
@@ -578,7 +575,7 @@ bool LinuxVmaMm::TryHugeDemandFault(Vaddr huge_base, Perm perm) {
   for (uint64_t f = 0; f < (1ull << kHugeOrder); ++f) {
     PageDescriptor& desc = mem.Descriptor(*run + f);
     desc.ResetForAlloc(FrameType::kAnon);
-    desc.mapcount.store(1, std::memory_order_relaxed);
+    desc.InitRefs(1, 1);
     mem.ZeroFrame(*run + f);
   }
   {
@@ -663,8 +660,9 @@ std::unique_ptr<MmInterface> LinuxVmaMm::Fork() {
       }
       PageTable::WalkResult walk = pt_.Walk(lva);
       pt_.StoreEntry(walk.pt_page, walk.index, MakeLeafPte(pt_.arch(), pfn, cow, 1));
+      // Two updates per page, as Linux's get_page + page_dup_rmap.
       AddFrameRef(pfn);
-      PhysMem::Instance().Descriptor(pfn).mapcount.fetch_add(1, std::memory_order_acq_rel);
+      PhysMem::Instance().Descriptor(pfn).AddRefs(0, 1);
       child->pt_.StoreEntry(*child_table, PtIndex(lva, 1),
                             MakeLeafPte(pt_.arch(), pfn, cow, 1));
       gather.AddRange(VaRange(lva, lva + kPageSize));

@@ -27,9 +27,8 @@ NrosMm::NrosMm(const Options& options)
 NrosMm::~NrosMm() {
   Munmap(kUserVaBase, kUserVaCeiling - kUserVaBase);
   TlbSystem::Instance().DrainAll();
-  for (CpuId cpu : active_cpus_.ToVector()) {
-    TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
-  }
+  active_cpus_.ForEach(
+      [this](CpuId cpu) { TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_); });
   FreeAsid(asid_);
 }
 

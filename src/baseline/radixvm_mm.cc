@@ -38,9 +38,8 @@ RadixVmMm::RadixVmMm(const Options& options)
 RadixVmMm::~RadixVmMm() {
   Munmap(kUserVaBase, kUserVaCeiling - kUserVaBase);
   TlbSystem::Instance().DrainAll();
-  for (CpuId cpu : active_cpus_.ToVector()) {
-    TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_);
-  }
+  active_cpus_.ForEach(
+      [this](CpuId cpu) { TlbSystem::Instance().CpuTlb(cpu).InvalidateAsid(asid_); });
   FreeAsid(asid_);
   // Free the radix tree.
   std::function<void(RadixNode*, int)> free_node = [&](RadixNode* node, int level) {

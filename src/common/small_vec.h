@@ -72,7 +72,7 @@ class SmallVec {
     size_t new_capacity = capacity_ * 2;
     T* heap = static_cast<T*>(std::malloc(new_capacity * sizeof(T)));
     std::memcpy(heap, data_, size_ * sizeof(T));
-    if (data_ != inline_) {
+    if (data_ != inline_data()) {
       std::free(data_);
     }
     data_ = heap;
@@ -80,31 +80,36 @@ class SmallVec {
   }
 
   void Reset() {
-    if (data_ != inline_) {
+    if (data_ != inline_data()) {
       std::free(data_);
     }
-    data_ = inline_;
+    data_ = inline_data();
     capacity_ = N;
     size_ = 0;
   }
 
   void MoveFrom(SmallVec&& other) {
-    if (other.data_ == other.inline_) {
+    if (other.data_ == other.inline_data()) {
       std::memcpy(inline_, other.inline_, other.size_ * sizeof(T));
-      data_ = inline_;
+      data_ = inline_data();
       capacity_ = N;
     } else {
       data_ = other.data_;
       capacity_ = other.capacity_;
-      other.data_ = other.inline_;
+      other.data_ = other.inline_data();
       other.capacity_ = N;
     }
     size_ = other.size_;
     other.size_ = 0;
   }
 
-  T inline_[N];
-  T* data_ = inline_;
+  T* inline_data() { return reinterpret_cast<T*>(inline_); }
+
+  // Raw storage: constructing a SmallVec writes none of its N elements (a
+  // cursor carries four of these and is built on every fault). Elements are
+  // trivially copyable, so the bytes hold them without construction.
+  alignas(T) unsigned char inline_[N * sizeof(T)];
+  T* data_ = inline_data();
   size_t capacity_ = N;
   size_t size_ = 0;
 };

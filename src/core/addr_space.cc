@@ -49,27 +49,25 @@ const char* ProtocolName(Protocol protocol) {
   return "unknown";
 }
 
-void AddFrameRef(Pfn pfn) {
-  PhysMem::Instance().Descriptor(pfn).refcount.fetch_add(1, std::memory_order_acq_rel);
-}
+void AddFrameRef(Pfn pfn) { PhysMem::Instance().Descriptor(pfn).AddRefs(1, 0); }
 
-void DropFrameRef(Pfn pfn) {
-  PageDescriptor& desc = PhysMem::Instance().Descriptor(pfn);
-  if (desc.refcount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    BuddyAllocator::Instance().FreeFrame(pfn);
-  }
-}
+void DropFrameRef(Pfn pfn) { DropRunRefs(PageRun(pfn, 0), 0); }
 
-void DropRunRef(PageRun run) {
+void DropRunRef(PageRun run) { DropRunRefs(run, 0); }
+
+void DropRunRefs(PageRun run, uint32_t maps) {
+  PhysMem& mem = PhysMem::Instance();
   if (run.order == 0) {
-    DropFrameRef(run.pfn);
+    if (mem.Descriptor(run.pfn).DropRefs(1, maps).refcount == 1) {
+      BuddyAllocator::Instance().FreeFrame(run.pfn);
+    }
     return;
   }
   if (run.order > kHugeOrder) {
     // Larger-than-huge runs (a hypothetical 1 GiB leaf) have no whole-block
     // free path; fall back to per-frame disposal.
     for (uint64_t f = 0; f < run.num_frames(); ++f) {
-      DropFrameRef(run.pfn + f);
+      DropRunRefs(PageRun(run.pfn + f, 0), maps);
     }
     return;
   }
@@ -77,13 +75,11 @@ void DropRunRef(PageRun run) {
   // never-shared huge leaf dies whole and returns to the buddy as one block;
   // a run that was partially shared (fork COW copied some frames away) frees
   // only its dead frames individually.
-  PhysMem& mem = PhysMem::Instance();
   uint64_t dead[(1ull << kHugeOrder) / 64] = {};
   bool all_dead = true;
   bool any_dead = false;
   for (uint64_t f = 0; f < run.num_frames(); ++f) {
-    PageDescriptor& desc = mem.Descriptor(run.pfn + f);
-    if (desc.refcount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (mem.Descriptor(run.pfn + f).DropRefs(1, maps).refcount == 1) {
       dead[f / 64] |= 1ull << (f % 64);
       any_dead = true;
     } else {
@@ -123,13 +119,17 @@ AddrSpace::~AddrSpace() {
   // RCursor::TearDownFullMm. The PageTable destructor then frees the PT pages
   // directly. The drains finish what earlier munmaps of this space deferred:
   // their LATR entries name this ASID, which goes back to the pool only
-  // after them, and their PT pages wait in the RCU monitor.
+  // after them, and the PT pages they retired wait in the RCU monitor. A
+  // space that retired none (a fork child that only faulted) skips the
+  // grace period.
   {
     RCursor cursor = Lock(VaRange(0, kVaLimit));
     cursor.TearDownFullMm();
   }
   TlbSystem::Instance().DrainAll();
-  Rcu::Instance().DrainAll();
+  if (rcu_retired_pt_pages_.load(std::memory_order_relaxed) != 0) {
+    Rcu::Instance().DrainAll();
+  }
   FreeAsid(asid_);
 }
 
@@ -443,6 +443,9 @@ void RCursor::RemoveChildTable(Pfn pt_page, int level, uint64_t index) {
   pt.ForEachPtPagePostOrder(child, level - 1,
                             [&subtree](Pfn pfn, int) { subtree.push_back(pfn); });
   bool adv = space_->options().protocol == Protocol::kAdv;
+  if (adv) {
+    space_->rcu_retired_pt_pages_.fetch_add(subtree.size(), std::memory_order_relaxed);
+  }
   for (Pfn pfn : subtree) {
     // Metadata leaves the space's account now: the free below (under kAdv,
     // an RCU callback) no longer knows which space the page belonged to.

@@ -194,12 +194,13 @@ class RCursor {
   // Full-mm teardown (Linux's exit_mmap with a fullmm tlb_gather). Only
   // ~AddrSpace may call it, on its whole-space cursor, once no other thread
   // can reach the space. One synchronous full-ASID shootdown over the active
-  // CPUs comes first, then one walk drops each present leaf's mapcounts and
-  // frame references inline and erases every mark through ClearMark. It
-  // gathers nothing, tracks no range, leaves PTEs and present counts as they
-  // are and sets the resident count to 0 once: the PageTable destructor frees
-  // the PT pages whole, with no stale mark and no RCU retire, because no
-  // lock-free walker can reach a dead space's tree.
+  // CPUs comes first, then one walk drops each present leaf's mapping and
+  // frame reference inline (one RMW per frame on its refs word) and erases
+  // every mark through ClearMark. It gathers nothing, tracks no range, leaves
+  // PTEs and present counts as they are and sets the resident count to 0
+  // once: the PageTable destructor frees the PT pages whole, with no stale
+  // mark and no RCU retire, because no lock-free walker can reach a dead
+  // space's tree.
   void TearDownFullMm();
   void TearDownIn(Pfn pt_page, int level);
   void StatusIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
@@ -343,6 +344,9 @@ class AddrSpace {
   std::atomic<uint32_t> pkru_{0};
   std::atomic<uint64_t> meta_bytes_{0};
   std::atomic<uint64_t> resident_pages_{0};
+  // PT pages RemoveChildTable handed to the RCU monitor: only a space that
+  // retired some needs a grace period when it dies.
+  std::atomic<uint64_t> rcu_retired_pt_pages_{0};
 };
 
 // Drops one reference on a data frame, returning it to the buddy allocator
@@ -355,6 +359,9 @@ void AddFrameRef(Pfn pfn);
 // back to the buddy as ONE block; frames that die while others survive are
 // freed individually. Used as the shootdown RunFreer.
 void DropRunRef(PageRun run);
+// DropRunRef that also drops |maps| mappings of each frame in the same RMW:
+// the full-mm teardown's one update per frame.
+void DropRunRefs(PageRun run, uint32_t maps);
 
 }  // namespace cortenmm
 

@@ -21,8 +21,7 @@ SimFile::SimFile(uint16_t id, uint64_t size_pages, bool zero_fill)
 SimFile::~SimFile() {
   for (const auto& [index, pfn] : cache_) {
     (void)index;
-    PageDescriptor& desc = PhysMem::Instance().Descriptor(pfn);
-    if (desc.refcount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (PhysMem::Instance().Descriptor(pfn).DropRefs(1, 0).refcount == 1) {
       BuddyAllocator::Instance().FreeFrame(pfn);
     }
   }

@@ -194,7 +194,7 @@ void RCursor::ClearLeaf(Pfn pt_page, int level, uint64_t index, Vaddr va) {
   mem.Descriptor(pt_page).present_ptes.fetch_sub(1, std::memory_order_relaxed);
   uint64_t frames = LeafFrames(level);
   for (uint64_t f = 0; f < frames; ++f) {
-    mem.Descriptor(head + f).mapcount.fetch_sub(1, std::memory_order_acq_rel);
+    mem.Descriptor(head + f).DropRefs(0, 1);
   }
   space_->AddResidentPages(-static_cast<int64_t>(frames));
   // The references are dropped only after the TLB shootdown completes — and
@@ -275,7 +275,7 @@ VoidResult RCursor::MapHuge(Vaddr addr, Pfn pfn, Perm perm, int level) {
   mem.Descriptor(page).present_ptes.fetch_add(1, std::memory_order_relaxed);
   uint64_t frames = LeafFrames(level);
   for (uint64_t f = 0; f < frames; ++f) {
-    mem.Descriptor(pfn + f).mapcount.fetch_add(1, std::memory_order_acq_rel);
+    mem.Descriptor(pfn + f).AddRefs(0, 1);
   }
   space_->AddResidentPages(static_cast<int64_t>(frames));
   pages_touched_ += frames;
@@ -323,13 +323,22 @@ VoidResult RCursor::CloneSubtree(RCursor& child, Pfn parent_page, Pfn child_page
     }
   }
 
+  // The page's present count and the child's resident count are published
+  // once per PT page, on the error returns too, so a partial child is as
+  // well-formed as a whole one.
   uint16_t present = 0;
+  uint64_t resident = 0;
+  auto publish = [&] {
+    mem.Descriptor(child_page).present_ptes.store(present, std::memory_order_relaxed);
+    if (resident != 0) {
+      child.space_->AddResidentPages(static_cast<int64_t>(resident));
+    }
+  };
   for (uint64_t i = 0; i < kPtesPerPage; ++i) {
     Pte pte = parent_pt.LoadEntry(parent_page, i);
     if (!PteIsPresent(arch, pte)) {
       continue;
     }
-    ++present;
     if (PteIsLeaf(arch, pte, level)) {
       Pfn head = PtePfn(arch, pte);
       Perm perm = PtePerm(arch, pte);
@@ -348,29 +357,33 @@ VoidResult RCursor::CloneSubtree(RCursor& child, Pfn parent_page, Pfn child_page
         }
       }
       child_pt.StoreEntry(child_page, i, MakeLeafPte(arch, head, child_perm, level));
+      // The child's reference and mapping: one RMW per frame.
       for (uint64_t f = 0; f < frames; ++f) {
-        AddFrameRef(head + f);
-        mem.Descriptor(head + f).mapcount.fetch_add(1, std::memory_order_acq_rel);
+        mem.Descriptor(head + f).AddRefs(1, 1);
       }
-      child.space_->AddResidentPages(static_cast<int64_t>(frames));
+      ++present;
+      resident += frames;
       continue;
     }
     // Table entry: allocate the child's counterpart (born locked in the
     // child's cursor) and recurse. On failure the caller destroys the partial
     // child whole (the full-mm teardown), which needs every cloned page
-    // linked but reads no present count.
+    // linked.
     Result<Pfn> clone = child_pt.AllocPtPage(level - 1);
     if (!clone.ok()) {
+      publish();
       return clone.error();
     }
     child.NoteLocked(*clone, level - 1);
     VoidResult r = CloneSubtree(child, PtePfn(arch, pte), *clone, level - 1);
     child_pt.StoreEntry(child_page, i, MakeTablePte(arch, *clone));
+    ++present;
     if (!r.ok()) {
+      publish();
       return r;
     }
   }
-  mem.Descriptor(child_page).present_ptes.store(present, std::memory_order_relaxed);
+  publish();
   return VoidResult();
 }
 
@@ -452,7 +465,6 @@ VoidResult RCursor::Unmap(VaRange sub) {
 
 void RCursor::TearDownIn(Pfn pt_page, int level) {
   PageTable& pt = space_->page_table();
-  PhysMem& mem = PhysMem::Instance();
   if (PteMetaArray* marks = MetaArrayOf(pt_page, /*create=*/false)) {
     for (uint64_t i = 0; i < kPtesPerPage; ++i) {
       if (!marks->entries[i].empty()) {
@@ -470,11 +482,10 @@ void RCursor::TearDownIn(Pfn pt_page, int level) {
       continue;
     }
     // The PTE and the page's present count stay: the PT page is freed whole.
-    Pfn head = PtePfn(pt.arch(), pte);
-    for (uint64_t f = 0; f < LeafFrames(level); ++f) {
-      mem.Descriptor(head + f).mapcount.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    DropRunRef(PageRun(head, static_cast<uint8_t>(kPteIndexBits * (level - 1))));
+    // The mapping and the reference go in one RMW per frame.
+    DropRunRefs(PageRun(PtePfn(pt.arch(), pte),
+                        static_cast<uint8_t>(kPteIndexBits * (level - 1))),
+                /*maps=*/1);
   }
 }
 
@@ -483,7 +494,7 @@ void RCursor::TearDownFullMm() {
   // One synchronous full-ASID flush before any frame goes back: afterwards no
   // CPU can reach a frame through this space, so the walk frees in place.
   TlbSystem::Instance().ShootdownBatch(space_->asid_, nullptr, 0, /*full_asid=*/true,
-                                       space_->active_cpus_, TlbPolicy::kSync, {},
+                                       space_->active_cpus_, TlbPolicy::kSync, nullptr, 0,
                                        nullptr);
   TearDownIn(covering_, covering_level_);
   space_->resident_pages_.store(0, std::memory_order_relaxed);

@@ -523,8 +523,7 @@ VoidResult VmSpace::HandleFaultLocked(RCursor& cursor, Vaddr page_va, Access acc
       CountEvent(Counter::kCowFaults);
       PageDescriptor& desc = PhysMem::Instance().Descriptor(status.pfn);
       FrameType type = desc.type.load(std::memory_order_relaxed);
-      if (type == FrameType::kAnon &&
-          desc.mapcount.load(std::memory_order_acquire) == 1) {
+      if (type == FrameType::kAnon && desc.mapcount() == 1) {
         // Sole mapper: reclaim write access in place ("no need to COW if
         // parent/child has left").
         Perm p = perm.Without(Perm::kCow).With(Perm::kWrite);
@@ -717,8 +716,7 @@ Result<uint64_t> VmSpace::SwapOut(Vaddr va, uint64_t len) {
       PageDescriptor& desc = mem.Descriptor(pfn);
       // Only exclusive anonymous pages are swappable here.
       if (desc.type.load(std::memory_order_relaxed) == FrameType::kAnon &&
-          desc.mapcount.load(std::memory_order_acquire) == 1 &&
-          desc.refcount.load(std::memory_order_acquire) == 1) {
+          desc.Counts() == FrameRefs{1, 1}) {
         victims.push_back(Victim{run.start + (p << kPageBits), pfn, status.perm});
       }
     }

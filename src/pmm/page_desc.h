@@ -7,6 +7,7 @@
 #define SRC_PMM_PAGE_DESC_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 
 #include "src/common/cpu.h"
@@ -53,8 +54,15 @@ struct PteMetaArray {
 };
 static_assert(sizeof(PteMetaArray) == kPageSize);
 
+// A frame's refcount and mapcount, read together (PageDescriptor::refs).
+struct FrameRefs {
+  uint32_t refcount = 0;
+  uint32_t mapcount = 0;
+  bool operator==(const FrameRefs&) const = default;
+};
+
 // Cache-line aligned so two descriptors never share a line: the fault path
-// hammers refcount/mapcount/young on its own frame while neighbouring frames'
+// hammers refs/young on its own frame while neighbouring frames'
 // descriptors are being written by frees and the reclaim clock on other CPUs.
 struct alignas(kCacheLineSize) PageDescriptor {
   // --- Identity / allocator state -----------------------------------------
@@ -65,11 +73,46 @@ struct alignas(kCacheLineSize) PageDescriptor {
   Pfn free_prev = kInvalidPfn;
 
   // --- Shared refcounting ---------------------------------------------------
-  // Number of owners (address spaces / caches) holding the frame.
-  std::atomic<uint32_t> refcount{0};
-  // Number of PTEs (across address spaces) mapping this frame; drives the
-  // COW "only mapper left" fast path in the paper's Figure 8 (map_count()).
-  std::atomic<uint32_t> mapcount{0};
+  // One word, two counts: the refcount (owners — address spaces / caches —
+  // holding the frame) in the low 32 bits and the mapcount (PTEs across
+  // address spaces mapping the frame; drives the COW "only mapper left" fast
+  // path in the paper's Figure 8, map_count()) in the high 32. Fork's clone
+  // and exit's teardown move both counts of a frame at once, so sharing the
+  // word makes that one RMW instead of two. Neither half may underflow into
+  // the other; every RMW returns the prior pair, so the caller sees exactly
+  // the counts its own update consumed.
+  std::atomic<uint64_t> refs{0};
+
+  static constexpr uint64_t PackRefs(uint32_t refcount, uint32_t mapcount) {
+    return static_cast<uint64_t>(mapcount) << 32 | refcount;
+  }
+  static constexpr FrameRefs UnpackRefs(uint64_t word) {
+    return FrameRefs{static_cast<uint32_t>(word), static_cast<uint32_t>(word >> 32)};
+  }
+
+  // One-load snapshot: both counts as of the same instant.
+  FrameRefs Counts() const { return UnpackRefs(refs.load(std::memory_order_acquire)); }
+  uint32_t refcount() const { return Counts().refcount; }
+  uint32_t mapcount() const { return Counts().mapcount; }
+
+  // Adds |nrefs| references and |nmaps| mappings in one RMW; returns the
+  // prior pair.
+  FrameRefs AddRefs(uint32_t nrefs, uint32_t nmaps) {
+    return UnpackRefs(refs.fetch_add(PackRefs(nrefs, nmaps), std::memory_order_acq_rel));
+  }
+  // Drops |nrefs| references and |nmaps| mappings in one RMW; returns the
+  // prior pair. The caller whose drop took the refcount to zero
+  // (prior.refcount == nrefs) owns the frame's disposal.
+  FrameRefs DropRefs(uint32_t nrefs, uint32_t nmaps) {
+    FrameRefs prior =
+        UnpackRefs(refs.fetch_sub(PackRefs(nrefs, nmaps), std::memory_order_acq_rel));
+    assert(prior.refcount >= nrefs && prior.mapcount >= nmaps);
+    return prior;
+  }
+  // Plain store for a frame its allocator still owns exclusively.
+  void InitRefs(uint32_t refcount, uint32_t mapcount) {
+    refs.store(PackRefs(refcount, mapcount), std::memory_order_relaxed);
+  }
 
   // --- PT-page fields (valid while type == kPageTable) ----------------------
   uint8_t pt_level = 0;                // 1 = leaf PT page, kPtLevels = root.
@@ -107,8 +150,7 @@ struct alignas(kCacheLineSize) PageDescriptor {
 
   void ResetForAlloc(FrameType t) {
     type.store(t, std::memory_order_relaxed);
-    refcount.store(1, std::memory_order_relaxed);
-    mapcount.store(0, std::memory_order_relaxed);
+    InitRefs(1, 0);
     stale.store(false, std::memory_order_relaxed);
     present_ptes.store(0, std::memory_order_relaxed);
     pt_level = 0;

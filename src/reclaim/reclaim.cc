@@ -213,8 +213,7 @@ uint64_t ReclaimSystem::ReclaimPages(uint64_t target_pages, AddrSpace* only,
     }
     // Only exclusive anon pages are candidates — the same criterion SwapOut
     // re-checks authoritatively under the subtree lock.
-    if (desc.mapcount.load(std::memory_order_acquire) != 1 ||
-        desc.refcount.load(std::memory_order_acquire) != 1) {
+    if (!(desc.Counts() == FrameRefs{1, 1})) {
       continue;
     }
     if (desc.young.exchange(false, std::memory_order_relaxed)) {

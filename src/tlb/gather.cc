@@ -47,7 +47,7 @@ void TlbGather::Flush(Asid asid, const CpuMask& mask, TlbPolicy policy, RunFreer
     return;
   }
   TlbSystem::Instance().ShootdownBatch(asid, ranges_.begin(), ranges_.size(), full_flush_,
-                                       mask, policy, std::move(runs_), freer);
+                                       mask, policy, runs_.begin(), runs_.size(), freer);
   ranges_.clear();
   runs_.clear();
   full_flush_ = false;

@@ -19,7 +19,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <vector>
 
 #include "src/common/small_vec.h"
 #include "src/common/types.h"
@@ -71,7 +70,9 @@ class TlbGather {
 
  private:
   SmallVec<VaRange, kMaxRanges> ranges_;  // Sorted by start, pairwise disjoint.
-  std::vector<PageRun> runs_;
+  // Inline for the common small transaction (a COW fault frees one run, a
+  // 16 KiB munmap four), so its flush never touches the heap.
+  SmallVec<PageRun, 16> runs_;
   bool full_flush_ = false;
 };
 

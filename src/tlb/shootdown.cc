@@ -20,19 +20,6 @@ const char* TlbPolicyName(TlbPolicy policy) {
   return "unknown";
 }
 
-std::vector<CpuId> CpuMask::ToVector() const {
-  std::vector<CpuId> cpus;
-  for (int word = 0; word < kMaxCpus / 64; ++word) {
-    uint64_t bits = words_[word].load(std::memory_order_acquire);
-    while (bits != 0) {
-      int bit = __builtin_ctzll(bits);
-      cpus.push_back(word * 64 + bit);
-      bits &= bits - 1;
-    }
-  }
-  return cpus;
-}
-
 TlbSystem& TlbSystem::Instance() {
   static TlbSystem system;
   return system;
@@ -65,42 +52,42 @@ namespace {
 
 // Weighted frame count of a batch: an order-9 record is one RECORD but 512
 // frames of reclaim, and the telemetry reports reclaim volume.
-uint64_t TotalFrames(const std::vector<PageRun>& runs) {
+uint64_t TotalFrames(const PageRun* runs, size_t num_runs) {
   uint64_t total = 0;
-  for (const PageRun& run : runs) {
-    total += run.num_frames();
+  for (size_t i = 0; i < num_runs; ++i) {
+    total += runs[i].num_frames();
   }
   return total;
+}
+
+void FreeRuns(const PageRun* runs, size_t num_runs, RunFreer freer) {
+  if (freer != nullptr) {
+    for (size_t i = 0; i < num_runs; ++i) {
+      freer(runs[i]);
+    }
+  }
 }
 
 }  // namespace
 
 void TlbSystem::FinishEntry(LatrEntry* entry) {
-  if (entry->freer != nullptr) {
-    for (const PageRun& run : entry->runs) {
-      entry->freer(run);
-    }
-  }
+  FreeRuns(entry->runs.data(), entry->runs.size(), entry->freer);
   pending_latr_.fetch_sub(1, std::memory_order_relaxed);
   delete entry;
 }
 
 void TlbSystem::Shootdown(Asid asid, VaRange range, const CpuMask& mask, TlbPolicy policy,
                           std::vector<PageRun> runs, RunFreer freer) {
-  ShootdownBatch(asid, &range, 1, /*full_asid=*/false, mask, policy, std::move(runs),
-                 freer);
+  ShootdownBatch(asid, &range, 1, /*full_asid=*/false, mask, policy, runs.data(),
+                 runs.size(), freer);
 }
 
 void TlbSystem::ShootdownBatch(Asid asid, const VaRange* ranges, size_t num_ranges,
                                bool full_asid, const CpuMask& mask, TlbPolicy policy,
-                               std::vector<PageRun> runs, RunFreer freer) {
+                               const PageRun* runs, size_t num_runs, RunFreer freer) {
   if (num_ranges == 0 && !full_asid) {
     // Run-only batch: nothing was ever visible in a TLB, dispose directly.
-    if (freer != nullptr) {
-      for (const PageRun& run : runs) {
-        freer(run);
-      }
-    }
+    FreeRuns(runs, num_runs, freer);
     return;
   }
   // The whole batch is one shootdown event — that is the point of gathering.
@@ -109,9 +96,9 @@ void TlbSystem::ShootdownBatch(Asid asid, const VaRange* ranges, size_t num_rang
   // invalidation sweep; for kLatr only the local flush + buffer publish.
   ScopedPhaseTimer telemetry_timer(LockPhase::kShootdownWait);
   CpuId self = CurrentCpu();
-  std::vector<CpuId> targets = mask.ToVector();
-  uint64_t total_frames = TotalFrames(runs);
-  Telemetry::Instance().Trace(TraceKind::kShootdown, total_frames, targets.size());
+  uint64_t total_frames = TotalFrames(runs, num_runs);
+  Telemetry::Instance().Trace(TraceKind::kShootdown, total_frames,
+                              static_cast<uint64_t>(mask.Count()));
   Telemetry::Instance().RecordBatch(BatchStat::kShootdownRanges,
                                     full_asid ? 0 : num_ranges);
   Telemetry::Instance().RecordBatch(BatchStat::kShootdownFrames, total_frames);
@@ -129,18 +116,10 @@ void TlbSystem::ShootdownBatch(Asid asid, const VaRange* ranges, size_t num_rang
   if (policy == TlbPolicy::kLatr) {
     // Flush locally now; defer remote flushes and frame reclamation.
     invalidate(self);
-    std::vector<CpuId> remote;
-    for (CpuId cpu : targets) {
-      if (cpu != self) {
-        remote.push_back(cpu);
-      }
-    }
-    if (remote.empty()) {
-      if (freer != nullptr) {
-        for (const PageRun& run : runs) {
-          freer(run);
-        }
-      }
+    bool any_remote = false;
+    mask.ForEach([&](CpuId cpu) { any_remote |= cpu != self; });
+    if (!any_remote) {
+      FreeRuns(runs, num_runs, freer);
       return;
     }
     // One deferred entry for the whole batch: each target acks once however
@@ -151,9 +130,13 @@ void TlbSystem::ShootdownBatch(Asid asid, const VaRange* ranges, size_t num_rang
     if (!full_asid) {
       entry->ranges.assign(ranges, ranges + num_ranges);
     }
-    entry->runs = std::move(runs);
+    entry->runs.assign(runs, runs + num_runs);
     entry->freer = freer;
-    entry->targets = std::move(remote);
+    mask.ForEach([&](CpuId cpu) {
+      if (cpu != self) {
+        entry->targets.push_back(cpu);
+      }
+    });
     entry->remaining.store(static_cast<uint32_t>(entry->targets.size()),
                            std::memory_order_relaxed);
     pending_latr_.fetch_add(1, std::memory_order_relaxed);
@@ -169,28 +152,24 @@ void TlbSystem::ShootdownBatch(Asid asid, const VaRange* ranges, size_t num_rang
   // starting the next. kEarlyAck issues all invalidations in one sweep (the
   // remote flush work overlaps; the initiator does not serialize on acks).
   if (policy == TlbPolicy::kSync) {
-    for (CpuId cpu : targets) {
+    mask.ForEach([&](CpuId cpu) {
       // Chaos: a straggler target delays before servicing the invalidation
       // IPI, so the initiator's serial ack wait stretches.
       FaultInjector::Instance().MaybeStall(FaultSite::kShootdownStraggler);
       invalidate(cpu);
       // Serial ack round trip: a full acquire/release per target is already
       // enforced by the per-TLB lock; nothing further to model.
-    }
+    });
   } else {  // kEarlyAck
-    for (CpuId cpu : targets) {
+    mask.ForEach([&](CpuId cpu) {
       FaultInjector::Instance().MaybeStall(FaultSite::kShootdownStraggler);
       invalidate(cpu);
-    }
+    });
   }
   if (!mask.Test(self)) {
     invalidate(self);
   }
-  if (freer != nullptr) {
-    for (const PageRun& run : runs) {
-      freer(run);
-    }
-  }
+  FreeRuns(runs, num_runs, freer);
 }
 
 void TlbSystem::Tick(CpuId cpu) {

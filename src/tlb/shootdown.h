@@ -47,8 +47,26 @@ class CpuMask {
   bool Test(CpuId cpu) const {
     return words_[cpu / 64].load(std::memory_order_acquire) & (1ull << (cpu % 64));
   }
-  // Snapshot of all set CPU ids, bounded by the online count.
-  std::vector<CpuId> ToVector() const;
+  // Calls |fn| with each set CPU id in increasing order, reading each word
+  // once. Allocates nothing: shootdowns walk their target mask in place.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (int word = 0; word < kMaxCpus / 64; ++word) {
+      uint64_t bits = words_[word].load(std::memory_order_acquire);
+      while (bits != 0) {
+        fn(static_cast<CpuId>(word * 64 + __builtin_ctzll(bits)));
+        bits &= bits - 1;
+      }
+    }
+  }
+  // Number of set CPU ids.
+  int Count() const {
+    int count = 0;
+    for (const std::atomic<uint64_t>& word : words_) {
+      count += __builtin_popcountll(word.load(std::memory_order_acquire));
+    }
+    return count;
+  }
 
  private:
   std::atomic<uint64_t> words_[kMaxCpus / 64] = {};
@@ -77,10 +95,12 @@ class TlbSystem {
   // |num_ranges| ranges of |asid| — or the whole ASID when |full_asid| — on
   // every CPU in |mask| with ONE invalidation sweep per target and, under
   // kLatr, one deferred entry for the whole batch. Counts as a single
-  // kTlbShootdowns event however many ranges the batch carries.
+  // kTlbShootdowns event however many ranges the batch carries. Then
+  // disposes of the |num_runs| |runs| via |freer|. Allocates only for a
+  // deferred entry, i.e. under kLatr with a remote target.
   void ShootdownBatch(Asid asid, const VaRange* ranges, size_t num_ranges, bool full_asid,
-                      const CpuMask& mask, TlbPolicy policy, std::vector<PageRun> runs,
-                      RunFreer freer);
+                      const CpuMask& mask, TlbPolicy policy, const PageRun* runs,
+                      size_t num_runs, RunFreer freer);
 
   // The target-side pump: drains lazy shootdown entries addressed to |cpu|.
   // The simulated MMU calls this periodically (timer-tick analog).

@@ -718,6 +718,64 @@ std::unique_ptr<MemProgModel> MakeLatrLitmus(LatrVariant variant) {
   return model;
 }
 
+// --- Frame refs word drop ----------------------------------------------------
+
+std::unique_ptr<MemProgModel> MakeFrameRefsLitmus(FrameRefsVariant variant) {
+  // vars: the refs word (refcount in the low nibble, mapcount in the high
+  // nibble) and the number of times the frame went back to the buddy.
+  const int refs = 0, freed = 1;
+  const int kInitialRefs = 0x12;  // {refcount 2, mapcount 1}.
+  // A dropper of |delta| (the packed pair, as a wrapping byte subtraction)
+  // that owns the frame when the prior word is |last|.
+  auto dropper = [&](int delta, int last) {
+    MemProgModel::ThreadScript t;
+    const int minus = (0x100 - delta) & 0xff;
+    if (variant == FrameRefsVariant::kAsWritten) {
+      t.code = {
+          Instr::FetchAdd(0, refs, minus, MO::kAcqRel),  // DropRefs (page_desc.h).
+          Instr::BranchNe(0, last, 3),                   // prior.refcount != 1: not last.
+          Instr::FetchAdd(1, freed, 1, MO::kRelaxed),    // BuddyAllocator::FreeFrame.
+      };
+    } else {
+      t.code = {
+          Instr::FetchAdd(0, refs, minus, MO::kAcqRel),  // Decrement, result dropped.
+          Instr::Load(0, refs, MO::kAcquire),            // BROKEN: re-load to test zero.
+          Instr::BranchNe(0, 0, 4),
+          Instr::FetchAdd(1, freed, 1, MO::kRelaxed),
+      };
+    }
+    return t;
+  };
+  // Exit: DropRefs(1, 1) owns the frame on prior {1, 1} (its own mapping is
+  // the only one a last reference can carry). LATR freer: DropRefs(1, 0)
+  // owns it on prior {1, 0}.
+  auto model = std::make_unique<MemProgModel>(
+      variant == FrameRefsVariant::kAsWritten ? "frame-refs-drop" : "frame-refs-load-after-drop",
+      2, 2, std::vector<MemProgModel::ThreadScript>{dropper(0x11, 0x11), dropper(0x01, 0x01)});
+  model->SetInitialMem(refs, kInitialRefs);
+  model->SetInvariant([=](const MemProgModel::View& v, std::string* why) {
+    uint8_t word = v.Mem(refs);
+    if (v.Mem(freed) > 1) {
+      *why = "frame freed twice";
+      return false;
+    }
+    if (v.Mem(freed) == 1 && word != 0) {
+      *why = "frame freed while a reference or mapping remains";
+      return false;
+    }
+    if ((word >> 4) > (word & 0xf) || word > kInitialRefs) {
+      *why = "refs word borrowed across its halves";
+      return false;
+    }
+    if (v.AllDone() && (word != 0 || v.Mem(freed) != 1)) {
+      *why = "frame leaked";
+      return false;
+    }
+    return true;
+  });
+  return model;
+}
+
 // --- MmRing publish ----------------------------------------------------------
 
 std::unique_ptr<MemProgModel> MakeRingPublishLitmus(RingVariant variant) {

@@ -267,6 +267,25 @@ enum class LatrVariant {
 };
 std::unique_ptr<MemProgModel> MakeLatrLitmus(LatrVariant variant);
 
+// Frame refs word drop (src/pmm/page_desc.h DropRefs; the Arc-drop pattern
+// of Jacobs & Fasse): one frame whose refs word packs the refcount (low
+// half) and the mapcount (high half; nibbles in the model) starts at
+// {refcount 2, mapcount 1}. Exit's full-mm teardown drops its mapping and
+// reference with DropRefs(1, 1) (addr_space.cc DropRunRefs) while a LATR
+// freer drops the reference a dead unmap left pending with DropRefs(1, 0)
+// (DropRunRef). Each frees the frame iff its own RMW returned refcount 1.
+// Invariants: the frame is freed exactly once, never while a reference or
+// mapping remains, and the mapcount never exceeds the refcount (a borrow
+// between the halves would break it).
+enum class FrameRefsVariant {
+  kAsWritten,  // Decide on the RMW's returned prior pair: passes.
+  // Decrement, then re-load the word and free if it reads zero: both
+  // droppers can see the other's decrement and free the frame twice
+  // (reachable already under kSC).
+  kLoadAfterDrop,
+};
+std::unique_ptr<MemProgModel> MakeFrameRefsLitmus(FrameRefsVariant variant);
+
 // MmRing producer vs flat-combining consumer (src/ring/mm_ring.cc): the
 // owner CPU copies the SQE into the ring slot with plain stores, then
 // publishes sq_tail with a release store; the combiner acquires sq_tail and

@@ -67,7 +67,7 @@ void CheckPtPage(AddrSpace& space, Pfn page, int level, WfReport* report) {
                            " which is typed free/cached");
               break;
             }
-            if (fd.mapcount.load(std::memory_order_relaxed) == 0) {
+            if (fd.mapcount() == 0) {
               report->Fail("huge leaf maps frame " + std::to_string(frame + f) +
                            " with zero mapcount");
               break;
@@ -136,8 +136,7 @@ LeakReport CheckFrameLeaks(uint64_t baseline_free_frames) {
     FrameType type = desc.type.load(std::memory_order_relaxed);
     if (type == FrameType::kCached) {
       ++report.stranded_cached;
-    } else if (type == FrameType::kAnon &&
-               desc.refcount.load(std::memory_order_relaxed) == 0) {
+    } else if (type == FrameType::kAnon && desc.refcount() == 0) {
       // A dead anon frame that never reached the buddy — the signature of a
       // huge run freed piecemeal with some frames dropped on the floor.
       ++report.stranded_anon;

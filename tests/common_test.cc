@@ -217,7 +217,9 @@ TEST(CpuMaskTest, SetTestAndEnumerate) {
   EXPECT_TRUE(mask.Test(64));
   EXPECT_TRUE(mask.Test(511));
   EXPECT_FALSE(mask.Test(1));
-  std::vector<CpuId> cpus = mask.ToVector();
+  std::vector<CpuId> cpus;
+  mask.ForEach([&cpus](CpuId cpu) { cpus.push_back(cpu); });
+  EXPECT_EQ(mask.Count(), 4);
   ASSERT_EQ(cpus.size(), 4u);
   EXPECT_EQ(cpus[0], 0);
   EXPECT_EQ(cpus[1], 63);

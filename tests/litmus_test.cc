@@ -119,6 +119,11 @@ TEST_F(AsWrittenLitmusTest, LatrGatherTick) {
   ExpectPassesBothModels(*model);
 }
 
+TEST_F(AsWrittenLitmusTest, FrameRefsDrop) {
+  auto model = MakeFrameRefsLitmus(FrameRefsVariant::kAsWritten);
+  ExpectPassesBothModels(*model);
+}
+
 TEST_F(AsWrittenLitmusTest, RingPublish) {
   auto model = MakeRingPublishLitmus(RingVariant::kAsWritten);
   ExpectPassesBothModels(*model);
@@ -167,6 +172,16 @@ TEST(BrokenVariantLitmusTest, LatrWithoutHasAckedReinvalidates) {
   ModelCheckResult sc = RunUnder(*model, MemModel::kSC);
   EXPECT_FALSE(sc.ok) << "a second tick must not flush an already-acked entry";
   EXPECT_NE(sc.violation.find("re-invalidated"), std::string::npos) << sc.violation;
+  EXPECT_FALSE(RunUnder(*model, MemModel::kTSO).ok);
+}
+
+// The refcount test moved off the RMW's own result: both droppers re-load
+// the word after both decrements and both free.
+TEST(BrokenVariantLitmusTest, FrameRefsLoadAfterDropFreesTwice) {
+  auto model = MakeFrameRefsLitmus(FrameRefsVariant::kLoadAfterDrop);
+  ModelCheckResult sc = RunUnder(*model, MemModel::kSC);
+  EXPECT_FALSE(sc.ok) << "re-loading after the decrement must admit two frees";
+  EXPECT_NE(sc.violation.find("freed twice"), std::string::npos) << sc.violation;
   EXPECT_FALSE(RunUnder(*model, MemModel::kTSO).ok);
 }
 

@@ -2,6 +2,7 @@
 // exhaustion behaviour, per-CPU caches), slab allocator, page descriptors.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -137,7 +138,7 @@ TEST(BuddyTest, DescriptorStateTracksAllocation) {
   ASSERT_TRUE(f.ok());
   PageDescriptor& desc = PhysMem::Instance().Descriptor(*f);
   EXPECT_EQ(desc.type.load(), FrameType::kKernel);
-  EXPECT_EQ(desc.refcount.load(), 1u);
+  EXPECT_EQ(desc.refcount(), 1u);
   buddy.FlushCpuCaches();  // Guarantee the per-CPU cache has room to park.
   buddy.FreeFrame(*f);
   // An order-0 free parks the frame in the current CPU's cache: it reads as
@@ -152,6 +153,71 @@ TEST(BuddyTest, DescriptorStateTracksAllocation) {
 // ---------------------------------------------------------------------------
 
 uint64_t Count(Counter c) { return GlobalStats().Total(c); }
+
+// The refs word: refcount in the low half, mapcount in the high half, moved
+// by one RMW that returns the prior pair.
+TEST(PageDescriptorTest, RefsHalvesStayIndependent) {
+  PageDescriptor desc;
+  desc.InitRefs(1, 0);
+  EXPECT_EQ(desc.Counts(), (FrameRefs{1, 0}));
+  // Each half moves alone.
+  EXPECT_EQ(desc.AddRefs(0, 3), (FrameRefs{1, 0}));
+  EXPECT_EQ(desc.AddRefs(2, 0), (FrameRefs{1, 3}));
+  EXPECT_EQ(desc.refcount(), 3u);
+  EXPECT_EQ(desc.mapcount(), 3u);
+  EXPECT_EQ(desc.DropRefs(0, 2), (FrameRefs{3, 3}));
+  EXPECT_EQ(desc.DropRefs(2, 0), (FrameRefs{3, 1}));
+  EXPECT_EQ(desc.DropRefs(1, 1), (FrameRefs{1, 1}));
+  EXPECT_EQ(desc.Counts(), (FrameRefs{0, 0}));
+  // A half at the top of its range does not carry into the other.
+  desc.InitRefs(0xfffffffeu, 1);
+  EXPECT_EQ(desc.AddRefs(1, 0), (FrameRefs{0xfffffffeu, 1}));
+  EXPECT_EQ(desc.Counts(), (FrameRefs{0xffffffffu, 1}));
+  desc.InitRefs(1, 0xfffffffeu);
+  EXPECT_EQ(desc.AddRefs(0, 1), (FrameRefs{1, 0xfffffffeu}));
+  EXPECT_EQ(desc.Counts(), (FrameRefs{1, 0xffffffffu}));
+
+  // Racing drops: every RMW moves both halves together, so every pair any
+  // thread sees (a prior pair or a snapshot) has equal halves, and exactly
+  // one drop takes the refcount through 1 to 0.
+  constexpr int kThreads = 8;
+  constexpr uint32_t kIters = 4000;
+  desc.InitRefs(kThreads * kIters, kThreads * kIters);
+  std::atomic<int> zero_crossings{0};
+  std::atomic<int> torn{0};
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint32_t i = 0; i < kIters; ++i) {
+        FrameRefs added = desc.AddRefs(1, 1);
+        FrameRefs dropped = desc.DropRefs(1, 1);
+        FrameRefs last = desc.DropRefs(1, 1);
+        for (const FrameRefs& seen : {added, dropped, last}) {
+          if (seen.refcount != seen.mapcount) {
+            torn.fetch_add(1);
+          }
+        }
+        if (last.refcount == 1) {
+          zero_crossings.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  while (running.load() > 0) {
+    FrameRefs snap = desc.Counts();
+    if (snap.refcount != snap.mapcount) {
+      torn.fetch_add(1);
+    }
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(zero_crossings.load(), 1);
+  EXPECT_EQ(desc.Counts(), (FrameRefs{0, 0}));
+}
 
 TEST(MagazineTest, SteadyStateServesFromMagazineWithoutGlobalLock) {
   BuddyAllocator& buddy = BuddyAllocator::Instance();

@@ -584,7 +584,7 @@ TEST(TlbTest, SetIndexedOnePageShootdownUnderEveryPolicy) {
       }
       VaRange range(page, page + kPageSize);
       TlbSystem::Instance().ShootdownBatch(asid, &range, 1, /*full_asid=*/false, mask,
-                                           policy, {}, nullptr);
+                                           policy, nullptr, 0, nullptr);
       if (policy == TlbPolicy::kLatr) {
         TlbSystem::Instance().Tick(2);
         TlbSystem::Instance().Tick(3);

@@ -12,6 +12,7 @@
 #include "src/common/stats.h"
 #include "src/core/vm_space.h"
 #include "src/fault/fault_inject.h"
+#include "src/obs/telemetry.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/sim/corten_vm.h"
@@ -324,16 +325,9 @@ Pfn PfnAt(CortenVm& mm, Vaddr va) {
   return status.pfn;
 }
 
-struct FrameCounts {
-  uint32_t refcount;
-  uint32_t mapcount;
-  bool operator==(const FrameCounts&) const = default;
-};
+using FrameCounts = FrameRefs;
 
-FrameCounts CountsOf(Pfn pfn) {
-  PageDescriptor& desc = PhysMem::Instance().Descriptor(pfn);
-  return {desc.refcount.load(), desc.mapcount.load()};
-}
+FrameCounts CountsOf(Pfn pfn) { return PhysMem::Instance().Descriptor(pfn).Counts(); }
 
 TEST(ExitTest, ChildExitRestoresSharedFrameCounts) {
   constexpr uint64_t kPages = 16;
@@ -488,6 +482,89 @@ TEST(ExitTest, PartialCloneTearsDownLeakFree) {
   LeakReport leaks = CheckFrameLeaks(baseline_free);
   EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
 #endif
+}
+
+// The clone publishes the child's resident count once per PT page, on its
+// error returns too: the count equals what the child's tree maps after a
+// whole clone and after every partial one.
+TEST(ExitTest, CloneKeepsResidentCountExact) {
+  constexpr uint64_t kPages = 1024;  // Spans at least two leaf PT pages.
+  CortenVm parent(AdvOptions());
+  Result<Vaddr> va = parent.MmapAnon(kPages * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(parent, *va, kPages * kPageSize, /*write=*/true).ok());
+  {
+    std::unique_ptr<VmSpace> child = parent.vm().Fork();
+    ASSERT_NE(child, nullptr);
+    WfReport report = CheckWellFormed(child->addr_space());
+    EXPECT_TRUE(report.ok) << report.first_error;
+    EXPECT_EQ(report.resident_pages, kPages);
+    EXPECT_EQ(child->addr_space().ResidentPagesFast(), report.resident_pages);
+  }
+#if CORTENMM_FAULTINJ
+  // The child exists before injection starts, so allocation fail_after + 1
+  // is the clone's own: L3, L2, then the leaf PT pages in tree order.
+  bool partial_clone_seen = false;
+  for (uint64_t fail_after = 0; fail_after < 8; ++fail_after) {
+    Result<std::unique_ptr<VmSpace>> child = VmSpace::Create(AdvOptions());
+    ASSERT_TRUE(child.ok());
+    AddrSpace& child_space = (*child)->addr_space();
+    FaultInjector::Instance().Enable(FaultSite::kBuddyAllocFrame,
+                                     FaultConfig{.fail_after = fail_after,
+                                                 .max_injections = 1});
+    {
+      RCursor parent_cursor = parent.vm().addr_space().Lock(VaRange(0, kVaLimit));
+      RCursor child_cursor = child_space.Lock(VaRange(0, kVaLimit));
+      (void)parent_cursor.CloneInto(child_cursor);
+    }
+    FaultInjector::Instance().DisableAll();
+    WfReport report = CheckWellFormed(child_space);
+    EXPECT_TRUE(report.ok) << "fail_after " << fail_after << ": " << report.first_error;
+    EXPECT_EQ(child_space.ResidentPagesFast(), report.resident_pages)
+        << "fail_after " << fail_after;
+    partial_clone_seen |= report.resident_pages > 0 && report.resident_pages < kPages;
+  }
+  EXPECT_TRUE(partial_clone_seen);
+#endif
+}
+
+// Exit runs an RCU grace period only for a space that retired PT pages: a
+// fork child that only took COW faults skips it, and a space that unmapped a
+// whole PT page still drains what it parked in the RCU monitor.
+TEST(ExitTest, OnlyASpaceThatRetiredPtPagesWaitsForAGracePeriod) {
+  if (!CORTENMM_TELEMETRY) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  auto grace_periods = [] {
+    return Telemetry::Instance().MergedPhase(LockPhase::kRcuSynchronize).TotalCount();
+  };
+  constexpr uint64_t kPages = 64;
+  CortenVm parent(AdvOptions());
+  Result<Vaddr> va = parent.MmapAnon(kPages * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(parent, *va, kPages * kPageSize, /*write=*/true).ok());
+  uint64_t before = grace_periods();
+  {
+    std::unique_ptr<MmInterface> child = parent.Fork();
+    ASSERT_NE(child, nullptr);
+    for (uint64_t p = 0; p < kPages; p += 8) {
+      ASSERT_TRUE(MmuSim::Write(*child, *va + p * kPageSize, p).ok());
+    }
+  }
+  EXPECT_EQ(grace_periods(), before);
+
+  {
+    CortenVm mm(AdvOptions());
+    Result<Vaddr> region = mm.MmapAnon(2 * kHugePageSize, Perm::RW());
+    ASSERT_TRUE(region.ok());
+    Vaddr huge = AlignUp(*region, kHugePageSize);
+    ASSERT_TRUE(MmuSim::Write(mm, huge, 1).ok());
+    // The whole 2 MiB slot goes, so its leaf PT page is retired.
+    ASSERT_TRUE(mm.Munmap(huge, kHugePageSize).ok());
+    EXPECT_GT(Rcu::Instance().PendingCount(), 0u);
+  }
+  EXPECT_GT(grace_periods(), before);
+  EXPECT_EQ(Rcu::Instance().PendingCount(), 0u);
 }
 
 }  // namespace
